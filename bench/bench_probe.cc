@@ -6,9 +6,8 @@
 //   dense   keys uniform in [0, G)           -- the classic grouping shape
 //   sparse  G distinct random 64-bit keys    -- no locality in key values
 //
-// crossed with group counts 10 .. 10M, each run once with the scalar
-// row-at-a-time reference probe and once with the vectorized round-based
-// pipeline. The small group counts stay in L1/L2; from ~1M groups the
+// crossed with group counts 10 .. 10M, each run once through the round-based
+// probe pipeline. The small group counts stay in L1/L2; from ~1M groups the
 // pointer table and the materialized rows exceed the last-level cache and
 // every probe is a memory stall — the regime the prefetch + selection-vector
 // pipeline targets.
@@ -43,7 +42,7 @@ struct RunResult {
 
 /// One timed build: aggregates `keys` (count(*) per key) into a fresh
 /// resizable table. The timed region is the AddChunk loop only.
-RunResult RunProbe(const std::vector<int64_t> &keys, bool vectorized,
+RunResult RunProbe(const std::vector<int64_t> &keys,
                    const std::string &temp_dir) {
   // Keys + hash column + count state: 32 B/row; size the limit so even the
   // 10M-group run never spills (spill I/O would swamp the probe signal).
@@ -52,7 +51,6 @@ RunResult RunProbe(const std::vector<int64_t> &keys, bool vectorized,
   config.capacity = 1ULL << 14;  // grows by doubling: exercises Resize
   config.radix_bits = 4;         // exercises the partition-aware append
   config.resizable = true;
-  config.vectorized_probe = vectorized;
   auto ht_res = GroupedAggregateHashTable::Create(
       bm, {LogicalTypeId::kInt64}, {0},
       {{AggregateKind::kCountStar, kInvalidIndex}}, config);
@@ -125,8 +123,7 @@ struct ConfigRecord {
   const char *distribution;
   idx_t groups;
   idx_t rows;
-  RunResult scalar;
-  RunResult vectorized;
+  RunResult run;
 };
 
 Json RunJson(const RunResult &r) {
@@ -140,8 +137,6 @@ Json RunJson(const RunResult &r) {
   object.Set("prefetches", Json(s.prefetches));
   object.Set("key_compares", Json(s.key_compares));
   object.Set("key_compare_misses", Json(s.key_compare_misses));
-  object.Set("vectorized_compares", Json(s.vectorized_compares));
-  object.Set("scalar_compares", Json(s.scalar_compares));
   object.Set("inserts", Json(s.inserts));
   object.Set("resizes", Json(s.resizes));
   return object;
@@ -158,13 +153,12 @@ int main() {
 
   std::vector<idx_t> group_counts = {10, 1'000, 100'000, 1'000'000,
                                      10'000'000};
-  std::printf("Probe pipeline micro-benchmark: scalar vs vectorized "
-              "find-or-create-groups\n(resizable table, radix_bits=4, "
-              "count(*) per int64 key)\n\n");
-  std::vector<int> widths = {7, 9, 9, 11, 11, 9, 8, 12};
+  std::printf("Probe pipeline micro-benchmark: find-or-create-groups "
+              "throughput\n(resizable table, radix_bits=4, count(*) per "
+              "int64 key)\n\n");
+  std::vector<int> widths = {7, 9, 9, 9, 8, 12};
   PrintRule(widths);
-  PrintRow({"dist", "groups", "rows M", "scalar M/s", "vector M/s", "speedup",
-            "rounds", "prefetches"},
+  PrintRow({"dist", "groups", "rows M", "M rows/s", "rounds", "prefetches"},
            widths);
   PrintRule(widths);
 
@@ -180,42 +174,26 @@ int main() {
       record.distribution = sparse ? "sparse" : "dense";
       record.groups = groups;
       record.rows = rows;
-      record.scalar = RunProbe(keys, /*vectorized=*/false, temp_dir);
-      record.vectorized = RunProbe(keys, /*vectorized=*/true, temp_dir);
+      record.run = RunProbe(keys, temp_dir);
       records.push_back(record);
 
-      double speedup = record.scalar.seconds > 0
-                           ? record.vectorized.rows_per_sec /
-                                 record.scalar.rows_per_sec
-                           : 0;
       PrintRow({record.distribution, std::to_string(groups),
                 Fmt("%.1f", static_cast<double>(rows) / 1e6),
-                Fmt("%.1f", record.scalar.rows_per_sec / 1e6),
-                Fmt("%.1f", record.vectorized.rows_per_sec / 1e6),
-                Fmt("%.2fx", speedup),
-                std::to_string(record.vectorized.stats.probe_rounds),
-                std::to_string(record.vectorized.stats.prefetches)},
+                Fmt("%.1f", record.run.rows_per_sec / 1e6),
+                std::to_string(record.run.stats.probe_rounds),
+                std::to_string(record.run.stats.prefetches)},
                widths);
     }
   }
   PrintRule(widths);
-  std::printf("\nrounds/prefetches are the vectorized run's counters; the "
-              "scalar path reports\nscalar_compares only (see the JSON for "
-              "every counter of both runs).\n");
 
   Json configs = Json::Array();
   for (const auto &r : records) {
-    double speedup =
-        r.scalar.rows_per_sec > 0
-            ? r.vectorized.rows_per_sec / r.scalar.rows_per_sec
-            : 0;
     Json config = Json::Object();
     config.Set("distribution", Json(r.distribution));
     config.Set("groups", Json(static_cast<uint64_t>(r.groups)));
     config.Set("rows", Json(static_cast<uint64_t>(r.rows)));
-    config.Set("speedup", Json(speedup));
-    config.Set("scalar", RunJson(r.scalar));
-    config.Set("vectorized", RunJson(r.vectorized));
+    config.Set("run", RunJson(r.run));
     configs.Push(std::move(config));
   }
   Json payload = Json::Object();

@@ -1,11 +1,11 @@
 // Cardinality sweep for the adaptive merge-strategy planner (DESIGN.md
 // section 11): runs the full aggregation operator over group counts
 // 10 .. 10M in dense and sparse key distributions, once per forced strategy
-// (central, tree, radix) and once with the adaptive planner, all with ample
+// (central, radix) and once with the adaptive planner, all with ample
 // memory so the merge strategies are compared without spill noise.
 //
-// The interesting readouts: at low cardinality the right-sized central /
-// tree merge tables stay cache-resident and beat the radix plan's
+// The interesting readouts: at low cardinality the right-sized central
+// merge tables stay cache-resident and beat the radix plan's
 // materialize-everything pipeline; at high cardinality the radix plan wins
 // and the adaptive run must track it (its sampling overhead is the gap).
 // The adaptive column also reports which strategy was picked and the
@@ -149,17 +149,16 @@ int main() {
   std::vector<idx_t> group_counts = {10, 1'000, 100'000, 1'000'000,
                                      10'000'000};
   const std::vector<AggregateStrategy> forced = {
-      AggregateStrategy::kCentralMerge, AggregateStrategy::kTreeMerge,
-      AggregateStrategy::kRadixMerge};
+      AggregateStrategy::kCentralMerge, AggregateStrategy::kRadixMerge};
 
-  std::printf("Merge-strategy sweep: forced central/tree/radix vs the "
+  std::printf("Merge-strategy sweep: forced central/radix vs the "
               "adaptive planner\n(%llu threads, SUM over int64 keys, ample "
               "memory)\n\n",
               static_cast<unsigned long long>(options.threads));
-  std::vector<int> widths = {7, 9, 8, 10, 10, 10, 10, 9, 12};
+  std::vector<int> widths = {7, 9, 8, 10, 10, 10, 9, 12};
   PrintRule(widths);
-  PrintRow({"dist", "groups", "rows M", "central s", "tree s", "radix s",
-            "adapt s", "picked", "est groups"},
+  PrintRow({"dist", "groups", "rows M", "central s", "radix s", "adapt s",
+            "picked", "est groups"},
            widths);
   PrintRule(widths);
 
@@ -181,7 +180,6 @@ int main() {
                 Fmt("%.1f", static_cast<double>(rows) / 1e6),
                 Fmt("%.2f", results[0].seconds),
                 Fmt("%.2f", results[1].seconds),
-                Fmt("%.2f", results[2].seconds),
                 Fmt("%.2f", adaptive.seconds),
                 AggregateStrategyName(adaptive.stats.planner.strategy),
                 std::to_string(adaptive.stats.planner.estimated_groups)},
@@ -193,8 +191,7 @@ int main() {
       config.Set("groups", groups);
       config.Set("rows", rows);
       config.Set("central", RunJson(results[0]));
-      config.Set("tree", RunJson(results[1]));
-      config.Set("radix", RunJson(results[2]));
+      config.Set("radix", RunJson(results[1]));
       config.Set("adaptive", RunJson(adaptive));
       configs.Push(std::move(config));
     }

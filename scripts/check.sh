@@ -25,10 +25,10 @@
 # stay below the raw spill volume, and that the query's result row count is
 # identical across backends.
 #
-# The plain build also runs a strategy smoke step: two canned queries at
-# the planner's cardinality extremes, asserting the adaptive planner picks
-# central merge for a handful of groups and the radix plan for ~1M groups
-# (DESIGN.md section 11), with its decision visible in the profile JSON.
+# The plain build also runs a strategy smoke step: three canned queries,
+# asserting the adaptive planner picks central merge for a handful of groups
+# and for ~18k groups, and the radix plan for ~1M groups (DESIGN.md section
+# 11), with its decision visible in the profile JSON.
 #
 # The plain build also runs an observe smoke step (DESIGN.md section 12):
 # a spilling query must surface nonzero spill-latency percentiles in its
@@ -149,13 +149,18 @@ EOF
 
 strategy_smoke() {
   local dir="$1"
-  echo "=== strategy smoke (planner picks central at ~4 groups, radix at ~1M) ==="
+  echo "=== strategy smoke (planner picks central at ~4 and ~18k groups, radix at ~1M) ==="
   local work
   work=$(mktemp -d)
   # Grouping 1 (returnflag/linestatus): 4 groups -> central merge.
   (cd "$work" && SSAGG_BENCH_THREADS=2 SSAGG_BENCH_TMPDIR="$work/tmp" \
       "$OLDPWD/$dir/bench/bench_single_query" 4 thin 1 du)
   mv "$work/results/bench_single_query.json" "$work/low.json"
+  # Grouping 8 at SF 4: 17,682 groups -> central merge (the mid-cardinality
+  # regime, where central is the only thread-local plan).
+  (cd "$work" && SSAGG_BENCH_THREADS=2 SSAGG_BENCH_TMPDIR="$work/tmp" \
+      "$OLDPWD/$dir/bench/bench_single_query" 4 thin 8 du)
+  mv "$work/results/bench_single_query.json" "$work/mid.json"
   # Grouping 13 (all-unique) at SF 18: ~1.08M groups -> radix merge.
   (cd "$work" && SSAGG_BENCH_THREADS=2 SSAGG_BENCH_TMPDIR="$work/tmp" \
       "$OLDPWD/$dir/bench/bench_single_query" 18 thin 13 du)
@@ -163,8 +168,9 @@ strategy_smoke() {
   python3 - "$work" <<'EOF'
 import json, sys
 work = sys.argv[1]
-# AggregateStrategy enum values: 1 central, 2 tree, 3 radix.
-for name, expected, label in (("low", 1, "central"), ("high", 3, "radix")):
+# AggregateStrategy enum values: 1 central, 3 radix.
+for name, expected, label in (("low", 1, "central"), ("mid", 1, "central"),
+                              ("high", 3, "radix")):
     with open(f"{work}/{name}.json") as f:
         doc = json.load(f)
     counters = doc["result"]["profile"]["counters"]

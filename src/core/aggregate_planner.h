@@ -17,20 +17,16 @@ class MetricsRegistry;
 
 /// How phase-1 thread-local results are merged into the final groups
 /// (PAPERS.md "Global Hash Tables Strike Back!": the optimal merge shape
-/// flips with group cardinality).
+/// flips with group cardinality). The values are reported as
+/// agg.chosen_strategy and read by scripts/check.sh, so they never change.
 enum class AggregateStrategy : uint8_t {
-  /// Sample the first chunks, estimate cardinality, pick one of the three
+  /// Sample the first chunks, estimate cardinality, pick one of the two
   /// concrete strategies below with the cost models.
   kAdaptive = 0,
   /// Each thread keeps one right-sized resizable table; all tables are
   /// merged into a single table at the end. Wins at low cardinality, where
   /// the merge is tiny and the per-thread table stays cache-resident.
   kCentralMerge = 1,
-  /// Like central, but the tables are merged pairwise in parallel rounds
-  /// (ceil(log2 T) rounds instead of T-1 sequential merges). Wins at mid
-  /// cardinality with enough threads that the merge itself is worth
-  /// parallelizing.
-  kTreeMerge = 2,
   /// The existing two-phase radix plan (fixed-size thread tables that
   /// materialize into 2^radix_bits spillable partitions, partition-wise
   /// parallel merge). The robust external default; the only strategy whose
@@ -39,7 +35,7 @@ enum class AggregateStrategy : uint8_t {
 };
 
 const char *AggregateStrategyName(AggregateStrategy s);
-/// Parses "adaptive" / "central" / "tree" / "radix" (case-sensitive).
+/// Parses "adaptive" / "central" / "radix" (case-sensitive).
 std::optional<AggregateStrategy> ParseAggregateStrategy(
     const std::string &name);
 /// Forced override from the SSAGG_AGG_STRATEGY environment variable.
@@ -87,12 +83,11 @@ struct AggregateCostModel {
   double probe_l2_ns = 9.0;    // <= 4 MiB
   double probe_dram_ns = 14.0;  // beyond LLC
   /// Per-row cost of scanning materialized rows and merging them into a
-  /// resizable table (phase 2 / central / tree merges).
+  /// resizable table (phase 2 / central merges).
   double merge_row_ns = 25.0;
   /// Per-group cost of finalizing and emitting an output row.
   double emit_row_ns = 15.0;
-  /// Fixed cost of scheduling one task (and, for tree merge, one barrier
-  /// round costs roughly one task per thread).
+  /// Fixed cost of scheduling one task.
   double task_ns = 30000.0;
   /// Fixed cost of standing up one resizable merge table.
   double table_setup_ns = 20000.0;
@@ -138,11 +133,10 @@ struct PlannerInputs {
   double reset_fill_ratio = 2.0 / 3.0;
 };
 
-/// The three cost models the planner compares (ROADMAP open item 1 asked
-/// for them as explicit functions). Each returns estimated wall-clock
-/// seconds for phase 1 + merge + emit under that strategy.
+/// The two cost models the planner compares. Each returns an estimate of
+/// phase 1 + merge + emit under that strategy, in model units (nominally
+/// seconds, but only the ratio between the two drives the decision).
 double CentralMergeCost(const PlannerInputs &in, const AggregateCostModel &m);
-double TreeMergeCost(const PlannerInputs &in, const AggregateCostModel &m);
 double RadixMergeCost(const PlannerInputs &in, const AggregateCostModel &m);
 
 /// The chosen plan plus everything needed to explain it (QueryProfile /
@@ -156,17 +150,16 @@ struct PlannerDecision {
   idx_t estimated_groups = 0;
   double reduction_ratio = 1;
   idx_t sampled_rows = 0;
-  /// Cost-model outputs, in estimated seconds.
+  /// Cost-model outputs, in model units (not measured seconds).
   double central_cost = 0;
-  double tree_cost = 0;
   double radix_cost = 0;
-  /// Initial entry-array capacity for central/tree thread-local tables.
+  /// Initial entry-array capacity for central thread-local tables.
   idx_t local_table_capacity = 0;
-  /// Central/tree tables above this many groups demote the query to radix
+  /// Central tables above this many groups demote the query to radix
   /// (misestimate guard).
   idx_t demote_group_limit = 0;
   /// Perfect-hash fast path: the query groups by a single int64 key whose
-  /// sampled value span fits kDirectIndexMaxRange, so central/tree thread
+  /// sampled value span fits kDirectIndexMaxRange, so central thread
   /// tables index group-row pointers by key value directly (no hashing, no
   /// probe). Keys outside [direct_min, direct_min + direct_range) that the
   /// sample never saw fall back to the generic path chunk-wise at run time.
@@ -246,9 +239,9 @@ class AggregatePlanner {
     return decision().strategy;
   }
 
-  /// Misestimate guard: a central/tree thread table outgrew the decision's
+  /// Misestimate guard: a central thread table outgrew the decision's
   /// demote_group_limit, so every thread falls back to the radix plan
-  /// (central/tree tables are radix-partitioned with the same fan-out
+  /// (central tables are radix-partitioned with the same fan-out
   /// precisely so their rows can still be exchanged partition-wise).
   void Demote();
   [[nodiscard]] bool demoted() const {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/string_type.h"
 #include "observe/trace.h"
 
 namespace ssagg {
@@ -105,110 +104,7 @@ std::vector<LogicalTypeId> GroupedAggregateHashTable::OutputTypes() const {
   return row_layout_.OutputTypes();
 }
 
-bool GroupedAggregateHashTable::RowMatches(const DataChunk &layout_chunk,
-                                           idx_t r,
-                                           const_data_ptr_t row) const {
-  const TupleDataLayout &layout = row_layout_.layout;
-  // Compare the stored hash first (cheap 8-byte check), then group columns.
-  {
-    hash_t row_hash;
-    std::memcpy(&row_hash, row + row_layout_.hash_offset, sizeof(hash_t));
-    hash_t in_hash;
-    std::memcpy(&in_hash,
-                layout_chunk.column(row_layout_.hash_column).data() +
-                    r * sizeof(hash_t),
-                sizeof(hash_t));
-    if (row_hash != in_hash) {
-      return false;
-    }
-  }
-  for (idx_t c = 0; c < row_layout_.group_count; c++) {
-    const Vector &vec = layout_chunk.column(c);
-    bool in_valid = vec.validity().RowIsValid(r);
-    bool row_valid = layout.RowIsColumnValid(row, c);
-    if (in_valid != row_valid) {
-      return false;
-    }
-    if (!in_valid) {
-      continue;  // NULL == NULL for grouping
-    }
-    idx_t offset = layout.ColumnOffset(c);
-    if (TypeIsVarSize(layout.ColumnType(c))) {
-      string_t stored;
-      std::memcpy(&stored, row + offset, sizeof(string_t));
-      const string_t &input = vec.Values<string_t>()[r];
-      if (stored != input) {
-        return false;
-      }
-    } else {
-      idx_t width = TypeWidth(layout.ColumnType(c));
-      if (std::memcmp(row + offset, vec.data() + r * width, width) != 0) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 Status GroupedAggregateHashTable::FindOrCreateGroups(
-    const DataChunk &layout_chunk, const hash_t *hashes, idx_t start,
-    idx_t count) {
-  if (config_.vectorized_probe) {
-    return FindOrCreateGroupsVectorized(layout_chunk, hashes, start, count);
-  }
-  return FindOrCreateGroupsScalar(layout_chunk, hashes, start, count);
-}
-
-Status GroupedAggregateHashTable::FindOrCreateGroupsScalar(
-    const DataChunk &layout_chunk, const hash_t *hashes, idx_t start,
-    idx_t count) {
-  uint64_t *table = entries();
-  const bool use_salt = config_.use_salt;
-  for (idx_t r = start; r < start + count; r++) {
-    // Grow / guard *before* inserting so the table never fills up
-    // completely (linear probing needs empty slots to terminate).
-    if (config_.resizable) {
-      if (count_ >= capacity_ * config_.reset_fill_ratio) {
-        SSAGG_RETURN_NOT_OK(Resize());
-        table = entries();
-      }
-    } else {
-      SSAGG_ASSERT(count_ < capacity_);
-    }
-    const hash_t h = hashes[r];
-    const uint16_t salt = ExtractSalt(h);
-    idx_t idx = h & mask_;
-    while (true) {
-      stats_.probe_steps++;
-      uint64_t entry = table[idx];
-      if (entry == 0) {
-        // New group: materialize the row directly into its radix partition
-        // (column-major -> row-major conversion happens here).
-        SSAGG_ASSIGN_OR_RETURN(data_ptr_t row,
-                               data_->AppendRow(layout_chunk, h, r));
-        table[idx] = MakeEntry(row, salt);
-        count_++;
-        stats_.inserts++;
-        row_ptrs_[r] = row;
-        break;
-      }
-      if (!use_salt || EntrySalt(entry) == salt) {
-        data_ptr_t row = EntryPointer(entry);
-        stats_.key_compares++;
-        stats_.scalar_compares++;
-        if (RowMatches(layout_chunk, r, row)) {
-          row_ptrs_[r] = row;
-          break;
-        }
-        stats_.key_compare_misses++;
-      }
-      idx = (idx + 1) & mask_;
-    }
-  }
-  return Status::OK();
-}
-
-Status GroupedAggregateHashTable::FindOrCreateGroupsVectorized(
     const DataChunk &layout_chunk, const hash_t *hashes, idx_t start,
     idx_t count) {
   SSAGG_DASSERT(start + count <= kVectorSize);
@@ -254,7 +150,7 @@ Status GroupedAggregateHashTable::FindOrCreateGroupsVectorized(
     // Software-prefetch the entries this round will inspect; for a table
     // past cache size this overlaps the dependent loads of the salt scan.
     // An entry array at or under 64 KiB is cache-resident (the planner's
-    // central/tree tables are sized to land here at low cardinality), so
+    // central tables are sized to land here at low cardinality), so
     // the pass would be pure issue overhead and is skipped.
     const idx_t *sel = remaining_sel_.data();
     if (capacity_ * sizeof(uint64_t) > idx_t{64} * 1024) {
@@ -326,7 +222,6 @@ Status GroupedAggregateHashTable::FindOrCreateGroupsVectorized(
       row_matcher_.Match(layout_chunk, row_ptrs_.data(), compare_sel_,
                          no_match_sel_);
       stats_.key_compares += compare_count;
-      stats_.vectorized_compares += compare_count;
       stats_.key_compare_misses += no_match_sel_.size();
       // Matched rows are done (row_ptrs_ already points at their group);
       // mismatches advance one slot and go into the next round.
@@ -542,8 +437,6 @@ void GroupedAggregateHashTable::Stats::Merge(const Stats &other) {
   resizes += other.resizes;
   probe_rounds += other.probe_rounds;
   prefetches += other.prefetches;
-  vectorized_compares += other.vectorized_compares;
-  scalar_compares += other.scalar_compares;
   direct_hit_rows += other.direct_hit_rows;
   direct_fallback_chunks += other.direct_fallback_chunks;
 }

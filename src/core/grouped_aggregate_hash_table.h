@@ -38,10 +38,6 @@ class GroupedAggregateHashTable {
     bool resizable = false;
     /// Ablation knob: disable the salt comparison (always follow pointers).
     bool use_salt = true;
-    /// Ablation knob: process whole chunks through the round-based probe
-    /// pipeline (selection vectors, prefetch, column-at-a-time matching,
-    /// batched inserts). Off = the row-at-a-time reference path.
-    bool vectorized_probe = true;
     /// Fill ratio at which phase-1 tables report NeedsReset (and resizable
     /// tables grow). The paper determined 2/3 experimentally.
     double reset_fill_ratio = kHashTableResetFillRatio;
@@ -64,11 +60,9 @@ class GroupedAggregateHashTable {
     uint64_t inserts = 0;
     uint64_t resets = 0;
     uint64_t resizes = 0;
-    // Vectorized-probe pipeline counters.
-    uint64_t probe_rounds = 0;         // pipeline rounds over shrinking sels
-    uint64_t prefetches = 0;           // software prefetches issued
-    uint64_t vectorized_compares = 0;  // candidates matched column-at-a-time
-    uint64_t scalar_compares = 0;      // candidates matched row-at-a-time
+    // Probe pipeline counters.
+    uint64_t probe_rounds = 0;  // pipeline rounds over shrinking sels
+    uint64_t prefetches = 0;    // software prefetches issued
     // Direct-index (perfect hash) fast-path counters.
     uint64_t direct_hit_rows = 0;        // rows resolved via the pointer cache
     uint64_t direct_fallback_chunks = 0;  // chunks sent to the generic path
@@ -156,16 +150,8 @@ class GroupedAggregateHashTable {
   /// Probes rows [start, start + count) of `layout_chunk` (which must have
   /// exactly the layout's columns, with the hash column filled from
   /// `hashes`); inserts rows whose group is missing. Writes each row's
-  /// group-row address into `row_ptrs_`. Dispatches to the vectorized
-  /// pipeline or the scalar reference path per Config::vectorized_probe.
-  Status FindOrCreateGroups(const DataChunk &layout_chunk,
-                            const hash_t *hashes, idx_t start, idx_t count);
-
-  /// Row-at-a-time reference implementation (ablation / equivalence tests).
-  Status FindOrCreateGroupsScalar(const DataChunk &layout_chunk,
-                                  const hash_t *hashes, idx_t start,
-                                  idx_t count);
-
+  /// group-row address into `row_ptrs_`.
+  ///
   /// The vectorized probe pipeline. Each round over the shrinking set of
   /// unresolved rows: (1) prefetch the probed entries; (2) a tight salt
   /// scan that advances every row to its first empty (claimed) or
@@ -175,9 +161,8 @@ class GroupedAggregateHashTable {
   /// claim-then-backfill); (4) a column-at-a-time key-match pass over the
   /// candidates; mismatching rows advance one slot and stay for the next
   /// round. The resize/budget guard runs once per round, not per row.
-  Status FindOrCreateGroupsVectorized(const DataChunk &layout_chunk,
-                                      const hash_t *hashes, idx_t start,
-                                      idx_t count);
+  Status FindOrCreateGroups(const DataChunk &layout_chunk,
+                            const hash_t *hashes, idx_t start, idx_t count);
 
   /// New groups a phase-1 (non-resizable) table can still take before
   /// reaching the reset threshold.
@@ -185,10 +170,6 @@ class GroupedAggregateHashTable {
     auto threshold = static_cast<idx_t>(capacity_ * config_.reset_fill_ratio);
     return threshold > count_ ? threshold - count_ : 0;
   }
-
-  /// Full group-key comparison of input row `r` against a candidate row.
-  bool RowMatches(const DataChunk &layout_chunk, idx_t r,
-                  const_data_ptr_t row) const;
 
   /// Direct-index fast path: resolves every row of `input` through the
   /// pointer cache and folds the aggregate updates. Sets *handled = false
@@ -225,7 +206,7 @@ class GroupedAggregateHashTable {
   std::vector<data_ptr_t> state_ptrs_;
   std::vector<idx_t> sel_scratch_;
 
-  // Vectorized-probe scratch (indexed by absolute chunk row, like
+  // Probe-pipeline scratch (indexed by absolute chunk row, like
   // row_ptrs_).
   RowMatcher row_matcher_;
   std::vector<idx_t> ht_offsets_;

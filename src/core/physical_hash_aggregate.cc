@@ -51,7 +51,6 @@ Status PhysicalHashAggregate::MakePhase1Table(
   ht_config.radix_bits = config_.radix_bits;
   ht_config.resizable = false;
   ht_config.use_salt = config_.use_salt;
-  ht_config.vectorized_probe = config_.vectorized_probe;
   ht_config.reset_fill_ratio = config_.reset_fill_ratio;
   SSAGG_ASSIGN_OR_RETURN(*out,
                          GroupedAggregateHashTable::Create(
@@ -64,12 +63,11 @@ Status PhysicalHashAggregate::MakeMergeTable(
   GroupedAggregateHashTable::Config ht_config;
   ht_config.capacity = capacity;
   // Same fan-out as the fixed tables: a demoted merge table's rows can then
-  // join the partition-wise exchange, and central/tree finals emit their
+  // join the partition-wise exchange, and central finals emit their
   // partitions in parallel.
   ht_config.radix_bits = config_.radix_bits;
   ht_config.resizable = true;
   ht_config.use_salt = config_.use_salt;
-  ht_config.vectorized_probe = config_.vectorized_probe;
   ht_config.reset_fill_ratio = config_.reset_fill_ratio;
   if (planner_->decided()) {
     const PlannerDecision decision = planner_->decision();
@@ -136,8 +134,7 @@ Status PhysicalHashAggregate::Sink(DataChunk &chunk, LocalSinkState &state) {
   PublishPlannerEstimate();
 
   const AggregateStrategy strategy = planner_->EffectiveStrategy();
-  if (strategy == AggregateStrategy::kCentralMerge ||
-      strategy == AggregateStrategy::kTreeMerge) {
+  if (strategy == AggregateStrategy::kCentralMerge) {
     if (!local.merge_ht) {
       SSAGG_RETURN_NOT_OK(TransitionLocal(local));
     }
@@ -238,8 +235,7 @@ Status PhysicalHashAggregate::EarlyCompactLocal(LocalState &local) {
     ht_config.radix_bits = 0;
     ht_config.resizable = true;
     ht_config.use_salt = config_.use_salt;
-    ht_config.vectorized_probe = config_.vectorized_probe;
-    SSAGG_ASSIGN_OR_RETURN(
+      SSAGG_ASSIGN_OR_RETURN(
         auto compactor, GroupedAggregateHashTable::Create(
                             buffer_manager_, row_layout_, ht_config));
     SSAGG_RETURN_NOT_OK(MergeCollectionInto(*compactor, part, nullptr));
@@ -328,7 +324,7 @@ Status PhysicalHashAggregate::Combine(LocalSinkState &state) {
     local.ht.reset();
   }
   if (local.merge_ht) {
-    // Central/tree: hand the fully aggregated thread table to EmitResults.
+    // Central: hand the fully aggregated thread table to EmitResults.
     // Its pointer table stays valid — the central target keeps probing it —
     // and its stats are accounted when the table is consumed in phase 2.
     stats_.materialized_rows += local.merge_ht->data().Count();
@@ -370,7 +366,6 @@ Status PhysicalHashAggregate::AggregatePartition(PartitionedTupleData &data,
   ht_config.radix_bits = 0;  // a phase-2 table is not repartitioned
   ht_config.resizable = true;
   ht_config.use_salt = config_.use_salt;
-  ht_config.vectorized_probe = config_.vectorized_probe;
   ht_config.reset_fill_ratio = config_.reset_fill_ratio;
   SSAGG_ASSIGN_OR_RETURN(
       auto ht, GroupedAggregateHashTable::Create(buffer_manager_, row_layout_,
@@ -502,49 +497,6 @@ Status PhysicalHashAggregate::CentralMergeEmit(
   return EmitTable(*target, output, executor);
 }
 
-Status PhysicalHashAggregate::TreeMergeEmit(
-    std::vector<std::unique_ptr<GroupedAggregateHashTable>> tables,
-    PartitionedTupleData *data, DataSink &output, TaskExecutor &executor) {
-  if (data != nullptr && data->Count() > 0) {
-    // Materialize the non-transitioned leftovers as one more leaf so the
-    // rounds below see a uniform table list.
-    std::unique_ptr<GroupedAggregateHashTable> leaf;
-    SSAGG_RETURN_NOT_OK(MakeMergeTable(
-        planner_->decision().local_table_capacity, &leaf));
-    for (idx_t p = 0; p < data->PartitionCount(); p++) {
-      SSAGG_RETURN_NOT_OK(
-          MergeCollectionInto(*leaf, data->partition(p), &executor));
-    }
-    tables.push_back(std::move(leaf));
-  }
-  if (tables.empty()) {
-    return Status::OK();
-  }
-  TraceSpan span("phase2.tree_merge", "agg", tables.size());
-  // Pairwise parallel rounds over a stable table array: round with stride s
-  // merges table j+s into table j. ceil(log2 N) barrier rounds total.
-  std::vector<std::vector<std::function<Status()>>> rounds;
-  for (idx_t step = 1; step < tables.size(); step *= 2) {
-    std::vector<std::function<Status()>> round;
-    for (idx_t j = 0; j + step < tables.size(); j += 2 * step) {
-      round.push_back([this, &tables, j, step, &executor]() {
-        auto &source = tables[j + step];
-        SSAGG_RETURN_NOT_OK(
-            MergeTableInto(*tables[j], *source, &executor));
-        {
-          ScopedLock guard(lock_);
-          stats_.ht.Merge(source->stats());
-        }
-        source.reset();
-        return Status::OK();
-      });
-    }
-    rounds.push_back(std::move(round));
-  }
-  SSAGG_RETURN_NOT_OK(executor.RunTaskRounds(rounds));
-  return EmitTable(*tables.front(), output, executor);
-}
-
 Status PhysicalHashAggregate::EmitResults(DataSink &output,
                                           TaskExecutor &executor) {
   planner_->EnsureDecided();
@@ -571,14 +523,8 @@ Status PhysicalHashAggregate::EmitResults(DataSink &output,
     tables.clear();
     data = global_data_.get();
   }
-  switch (strategy) {
-    case AggregateStrategy::kCentralMerge:
-      return CentralMergeEmit(std::move(tables), data, output, executor);
-    case AggregateStrategy::kTreeMerge:
-      return TreeMergeEmit(std::move(tables), data, output, executor);
-    case AggregateStrategy::kRadixMerge:
-    case AggregateStrategy::kAdaptive:  // unreachable: decisions are concrete
-      break;
+  if (strategy == AggregateStrategy::kCentralMerge) {
+    return CentralMergeEmit(std::move(tables), data, output, executor);
   }
   return RadixMergeEmit(data, output, executor);
 }

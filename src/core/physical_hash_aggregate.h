@@ -26,10 +26,6 @@ struct HashAggregateConfig {
   /// Initial capacity of phase-2 (resizable) tables.
   idx_t phase2_initial_capacity = 1024;
   bool use_salt = true;
-  /// Ablation knob: route chunks through the vectorized probe pipeline
-  /// (selection vectors, prefetch, batched inserts) instead of the
-  /// row-at-a-time reference path.
-  bool vectorized_probe = true;
   double reset_fill_ratio = kHashTableResetFillRatio;
   /// How thread-local results are merged (DESIGN.md section 11). kAdaptive
   /// samples the first chunks and picks with the cost models; the concrete
@@ -39,7 +35,7 @@ struct HashAggregateConfig {
   /// Rows (across all threads) the planner samples before deciding.
   idx_t planner_sample_rows = 32768;
   /// Lets the planner enable the direct-index (perfect hash) fast path on
-  /// central/tree thread tables when the query groups by a single int64 key
+  /// central thread tables when the query groups by a single int64 key
   /// whose sampled value span is small (DESIGN.md section 11).
   bool enable_direct_index = true;
   /// Total input rows if the caller knows them (RunGroupedAggregation fills
@@ -89,16 +85,15 @@ struct HashAggregateStats {
 ///   worker aggregates morsels into its own small fixed-size salted hash
 ///   table, materializing groups directly into radix-partitioned spillable
 ///   pages; the table is reset (pointer array cleared, pages unpinned) at
-///   2/3 fill. The phase is RAM-oblivious. Under central/tree the worker
+///   2/3 fill. The phase is RAM-oblivious. Under central the worker
 ///   instead folds everything into one right-sized resizable table (still
 ///   radix-partitioned with the same fan-out, so a misestimate can demote
 ///   the query back to the radix plan mid-flight).
 ///
 ///   Phase 2: radix exchanges thread-local partitions and aggregates each
 ///   independently in parallel; central merges the thread tables into one
-///   sequentially; tree merges them pairwise in parallel barrier rounds.
-///   Either way finished partitions are immediately pushed to the next
-///   sink and their pages destroyed.
+///   sequentially. Either way finished partitions are immediately pushed to
+///   the next sink and their pages destroyed.
 class PhysicalHashAggregate : public DataSink {
  public:
   static Result<std::unique_ptr<PhysicalHashAggregate>> Create(
@@ -151,7 +146,7 @@ class PhysicalHashAggregate : public DataSink {
   struct LocalState : public LocalSinkState {
     /// Fixed-size phase-1 table (sampling window / radix strategy).
     std::unique_ptr<GroupedAggregateHashTable> ht;
-    /// Right-sized resizable table (central/tree strategies, after the
+    /// Right-sized resizable table (central strategy, after the
     /// transition).
     std::unique_ptr<GroupedAggregateHashTable> merge_ht;
     /// Merge tables retired by a demotion; their (partially aggregated,
@@ -174,7 +169,7 @@ class PhysicalHashAggregate : public DataSink {
   /// direct-index candidate range.
   void ObserveChunkKeyRange(const DataChunk &chunk);
 
-  /// Central/tree: replaces the thread's fixed table with a right-sized
+  /// Central: replaces the thread's fixed table with a right-sized
   /// resizable one seeded from everything sampled so far.
   Status TransitionLocal(LocalState &local);
   /// Misestimate fallback: retires the thread's merge table (its rows join
@@ -222,9 +217,6 @@ class PhysicalHashAggregate : public DataSink {
   Status CentralMergeEmit(
       std::vector<std::unique_ptr<GroupedAggregateHashTable>> tables,
       PartitionedTupleData *data, DataSink &output, TaskExecutor &executor);
-  Status TreeMergeEmit(
-      std::vector<std::unique_ptr<GroupedAggregateHashTable>> tables,
-      PartitionedTupleData *data, DataSink &output, TaskExecutor &executor);
 
   /// Folds one finished phase-1 table's data into global_data_.
   /// `count_materialized` is false when the table's rows were already
@@ -251,8 +243,8 @@ class PhysicalHashAggregate : public DataSink {
   /// unique_ptr itself is guarded; once EmitResults starts, the pointee's
   /// partitions are partitioned among tasks (disjoint access).
   std::unique_ptr<PartitionedTupleData> global_data_ SSAGG_GUARDED_BY(lock_);
-  /// Central/tree thread merge tables, handed over at Combine; EmitResults
-  /// moves them out and merges them per the strategy.
+  /// Central thread merge tables, handed over at Combine; EmitResults
+  /// moves them out and merges them into one.
   std::vector<std::unique_ptr<GroupedAggregateHashTable>> local_tables_
       SSAGG_GUARDED_BY(lock_);
   HashAggregateStats stats_ SSAGG_GUARDED_BY(lock_);

@@ -10,8 +10,8 @@ namespace ssagg {
 
 /// Column-at-a-time group-key matcher for the vectorized probe pipeline.
 ///
-/// Where the scalar path compared one input row against one candidate row
-/// with all columns inside the loop, the matcher flips the loops: each pass
+/// Rather than comparing one input row against one candidate row with all
+/// columns inside the loop, the matcher flips the loops: each pass
 /// compares ONE layout column across the WHOLE candidate selection, using a
 /// type-specialized kernel, and compacts the selection to the survivors
 /// before moving to the next column. The stored 64-bit hash (a hidden

@@ -23,13 +23,12 @@ void AddAggregateStats(const HashAggregateStats &stats,
   profile.AddCounter("agg.ht_resizes", stats.ht.resizes);
   profile.AddCounter("agg.ht_probe_rounds", stats.ht.probe_rounds);
   profile.AddCounter("agg.ht_prefetches", stats.ht.prefetches);
-  profile.AddCounter("agg.ht_vectorized_compares",
-                     stats.ht.vectorized_compares);
-  profile.AddCounter("agg.ht_scalar_compares", stats.ht.scalar_compares);
   profile.AddTiming("agg.phase1_seconds", stats.phase1_seconds);
   profile.AddTiming("agg.phase2_seconds", stats.phase2_seconds);
   // Planner decision (DESIGN.md section 11). Strategies are recorded as
-  // their enum values (1 central, 2 tree, 3 radix).
+  // their enum values (1 central, 3 radix). The cost-model values stay on
+  // PlannerDecision: they are model units, not seconds, so they are not
+  // reported as timings.
   if (stats.planner_decided) {
     profile.AddCounter("agg.chosen_strategy",
                        static_cast<idx_t>(stats.planner.strategy));
@@ -42,9 +41,6 @@ void AddAggregateStats(const HashAggregateStats &stats,
     profile.AddCounter("agg.direct_index", stats.planner.direct_index ? 1 : 0);
     profile.AddCounter("agg.direct_hit_rows", stats.ht.direct_hit_rows);
     profile.AddTiming("agg.sampling_seconds", stats.sampling_seconds);
-    profile.AddTiming("agg.cost_central", stats.planner.central_cost);
-    profile.AddTiming("agg.cost_tree", stats.planner.tree_cost);
-    profile.AddTiming("agg.cost_radix", stats.planner.radix_cost);
   }
 }
 

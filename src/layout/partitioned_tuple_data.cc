@@ -55,13 +55,4 @@ Status PartitionedTupleData::Append(const DataChunk &input,
   return Status::OK();
 }
 
-Result<data_ptr_t> PartitionedTupleData::AppendRow(const DataChunk &input,
-                                                   hash_t hash, idx_t row) {
-  idx_t p = RadixPartition(hash, radix_bits_);
-  data_ptr_t ptr = nullptr;
-  SSAGG_RETURN_NOT_OK(
-      partitions_[p]->AppendRows(states_[p], input, &row, 1, &ptr));
-  return ptr;
-}
-
 }  // namespace ssagg

@@ -326,6 +326,13 @@ TEST(QueryProfileTest, SpillCountersMatchTemporaryFileGroundTruth) {
   EXPECT_GT(profile.phase1_seconds, 0.0);
   EXPECT_GT(profile.phase2_seconds, 0.0);
   EXPECT_EQ(profile.threads, 2u);
+  // The planner decided, yet its cost-model values (model units, not
+  // seconds) stay out of the timings map.
+  EXPECT_GT(profile.Counter("agg.chosen_strategy"), 0u);
+  EXPECT_GT(profile.timings.count("agg.sampling_seconds"), 0u);
+  for (const auto &[key, seconds] : profile.timings) {
+    EXPECT_NE(key.rfind("agg.cost_", 0), 0u) << key;
+  }
 
   // The trace of the spilling query: spans parse and nest per thread, and
   // the spill I/O shows up.

@@ -1,9 +1,9 @@
 // Strategy equivalence and robustness (DESIGN.md section 11): every merge
-// strategy the adaptive planner can pick — central, tree, radix, and the
-// adaptive selection itself — must produce identical results, under both
-// probe pipelines and under spill-forcing memory limits; and the new
-// central/tree merge paths must degrade to a clean Status (no leaked pins,
-// temp slots, or memory charges) when any I/O or allocation fails.
+// strategy the adaptive planner can pick — central, radix, and the adaptive
+// selection itself — must produce identical results, also under
+// spill-forcing memory limits; and the central merge path must degrade to a
+// clean Status (no leaked pins, temp slots, or memory charges) when any I/O
+// or allocation fails.
 
 #include <gtest/gtest.h>
 
@@ -55,7 +55,7 @@ RangeSource MakeWorkload(idx_t total_rows, idx_t tail_groups) {
 }
 
 /// High-cardinality variant with out-of-line string payloads: big enough
-/// that even the central/tree merge tables overflow a tight pool and spill,
+/// that even the central merge tables overflow a tight pool and spill,
 /// so I/O fault sites are actually exercised on those paths.
 RangeSource MakeSpillingWorkload(idx_t total_rows, idx_t groups) {
   return RangeSource(
@@ -99,7 +99,7 @@ std::vector<std::string> CanonicalRows(const MaterializedCollector &collector) {
 }
 
 //===----------------------------------------------------------------------===//
-// Equivalence across strategies x probe pipeline x memory limit
+// Equivalence across strategies x memory limit
 //===----------------------------------------------------------------------===//
 
 class StrategyEquivalenceTest : public ::testing::Test {
@@ -115,8 +115,7 @@ class StrategyEquivalenceTest : public ::testing::Test {
     HashAggregateStats stats;
   };
 
-  RunOutput Run(AggregateStrategy strategy, bool vectorized,
-                idx_t memory_pages) {
+  RunOutput Run(AggregateStrategy strategy, idx_t memory_pages) {
     BufferManager bm(temp_dir_, memory_pages * kPageSize);
     TaskExecutor executor(2);
     auto source = MakeWorkload(kRows, kTailGroups);
@@ -125,7 +124,6 @@ class StrategyEquivalenceTest : public ::testing::Test {
     config.phase1_capacity = 1024;  // small: resets + transitions happen
     config.radix_bits = 3;
     config.strategy = strategy;
-    config.vectorized_probe = vectorized;
     auto stats = RunGroupedAggregation(bm, source, {0}, TestAggregates(),
                                        collector, executor, config);
     EXPECT_TRUE(stats.ok()) << stats.status().ToString();
@@ -144,28 +142,23 @@ class StrategyEquivalenceTest : public ::testing::Test {
 
 TEST_F(StrategyEquivalenceTest, AllStrategiesAgreeOnAllPipelines) {
   RunOutput reference =
-      Run(AggregateStrategy::kRadixMerge, /*vectorized=*/true,
-          /*memory_pages=*/2048);
+      Run(AggregateStrategy::kRadixMerge, /*memory_pages=*/2048);
   ASSERT_GT(reference.rows.size(), kTailGroups / 2);
 
   for (AggregateStrategy strategy :
        {AggregateStrategy::kAdaptive, AggregateStrategy::kCentralMerge,
-        AggregateStrategy::kTreeMerge, AggregateStrategy::kRadixMerge}) {
-    for (bool vectorized : {true, false}) {
-      // Ample memory, then a limit tight enough that the radix plan spills
-      // (the central/tree merge tables must survive the same pressure).
-      for (idx_t pages : {idx_t{2048}, idx_t{96}}) {
-        SCOPED_TRACE(std::string("strategy=") +
-                     AggregateStrategyName(strategy) +
-                     " vectorized=" + (vectorized ? "1" : "0") +
-                     " pages=" + std::to_string(pages));
-        RunOutput run = Run(strategy, vectorized, pages);
-        EXPECT_EQ(run.rows, reference.rows);
-        EXPECT_TRUE(run.stats.planner_decided);
-        if (strategy != AggregateStrategy::kAdaptive) {
-          EXPECT_TRUE(run.stats.planner.forced);
-          EXPECT_EQ(run.stats.planner.strategy, strategy);
-        }
+        AggregateStrategy::kRadixMerge}) {
+    // Ample memory, then a limit tight enough that the radix plan spills
+    // (the central merge tables must survive the same pressure).
+    for (idx_t pages : {idx_t{2048}, idx_t{96}}) {
+      SCOPED_TRACE(std::string("strategy=") + AggregateStrategyName(strategy) +
+                   " pages=" + std::to_string(pages));
+      RunOutput run = Run(strategy, pages);
+      EXPECT_EQ(run.rows, reference.rows);
+      EXPECT_TRUE(run.stats.planner_decided);
+      if (strategy != AggregateStrategy::kAdaptive) {
+        EXPECT_TRUE(run.stats.planner.forced);
+        EXPECT_EQ(run.stats.planner.strategy, strategy);
       }
     }
   }
@@ -173,11 +166,10 @@ TEST_F(StrategyEquivalenceTest, AllStrategiesAgreeOnAllPipelines) {
 
 TEST_F(StrategyEquivalenceTest, AdaptivePicksCentralForMidCardinality) {
   // ~5k groups with ample memory: central merge should win the cost race.
-  RunOutput run = Run(AggregateStrategy::kAdaptive, /*vectorized=*/true,
-                      /*memory_pages=*/2048);
+  RunOutput run = Run(AggregateStrategy::kAdaptive, /*memory_pages=*/2048);
   ASSERT_TRUE(run.stats.planner_decided);
   EXPECT_FALSE(run.stats.planner.forced);
-  EXPECT_NE(run.stats.planner.strategy, AggregateStrategy::kRadixMerge)
+  EXPECT_EQ(run.stats.planner.strategy, AggregateStrategy::kCentralMerge)
       << "estimated " << run.stats.planner.estimated_groups << " groups";
   // The estimate is within an order of magnitude of the truth.
   EXPECT_GT(run.stats.planner.estimated_groups, kTailGroups / 8);
@@ -329,27 +321,35 @@ TEST_F(StrategyEquivalenceTest, DirectIndexDeclinedForSparseKeys) {
 }
 
 TEST_F(StrategyEquivalenceTest, ForcedStrategyEnvOverrideWins) {
-  setenv("SSAGG_AGG_STRATEGY", "tree", 1);
-  RunOutput run = Run(AggregateStrategy::kCentralMerge, /*vectorized=*/true,
-                      /*memory_pages=*/2048);
+  setenv("SSAGG_AGG_STRATEGY", "radix", 1);
+  RunOutput run = Run(AggregateStrategy::kCentralMerge, /*memory_pages=*/2048);
   unsetenv("SSAGG_AGG_STRATEGY");
   ASSERT_TRUE(run.stats.planner_decided);
-  EXPECT_EQ(run.stats.planner.strategy, AggregateStrategy::kTreeMerge);
+  EXPECT_EQ(run.stats.planner.strategy, AggregateStrategy::kRadixMerge);
   EXPECT_TRUE(run.stats.planner.forced);
 
-  setenv("SSAGG_AGG_STRATEGY", "bogus", 1);
-  BufferManager bm(temp_dir_, 64 * kPageSize);
-  auto agg = PhysicalHashAggregate::Create(bm, SourceTypes(), {0},
-                                           TestAggregates());
-  unsetenv("SSAGG_AGG_STRATEGY");
-  ASSERT_FALSE(agg.ok());
-  EXPECT_NE(agg.status().ToString().find("SSAGG_AGG_STRATEGY"),
-            std::string::npos)
-      << agg.status().ToString();
+  // Unknown names, including the removed tree strategy, are rejected and
+  // the message lists the accepted values.
+  for (const char *bad : {"bogus", "tree"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(ParseAggregateStrategy(bad).has_value());
+    setenv("SSAGG_AGG_STRATEGY", bad, 1);
+    BufferManager bm(temp_dir_, 64 * kPageSize);
+    auto agg = PhysicalHashAggregate::Create(bm, SourceTypes(), {0},
+                                             TestAggregates());
+    unsetenv("SSAGG_AGG_STRATEGY");
+    ASSERT_FALSE(agg.ok());
+    EXPECT_EQ(agg.status().code(), StatusCode::kInvalidArgument);
+    const std::string message = agg.status().ToString();
+    EXPECT_NE(message.find("SSAGG_AGG_STRATEGY"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("adaptive|central|radix,"), std::string::npos)
+        << message;
+  }
 }
 
 //===----------------------------------------------------------------------===//
-// Fault sweeps over the central/tree merge paths
+// Fault sweeps over the central merge path
 //===----------------------------------------------------------------------===//
 
 class StrategyFaultSweepTest : public ::testing::Test {
@@ -375,7 +375,7 @@ class StrategyFaultSweepTest : public ::testing::Test {
     {
       // 3 MiB: the right-sized merge table (~4k groups) fits pinned, but
       // the pages materialized during the sampling window do not — they
-      // spill, so the I/O fault sites fire on the central/tree paths too.
+      // spill, so the I/O fault sites fire on the central path too.
       BufferManager bm(dir, 12 * kPageSize, EvictionPolicy::kMixed, fault_fs);
       bm.SetFaultInjector(&injector);
       TaskExecutor executor(1);
@@ -449,14 +449,6 @@ TEST_F(StrategyFaultSweepTest, CentralMergeIoFailuresDegradeCleanly) {
 
 TEST_F(StrategyFaultSweepTest, CentralMergeAllocationFailuresDegradeCleanly) {
   Sweep(AggregateStrategy::kCentralMerge, kFaultMemorySites, "memory");
-}
-
-TEST_F(StrategyFaultSweepTest, TreeMergeIoFailuresDegradeCleanly) {
-  Sweep(AggregateStrategy::kTreeMerge, kFaultIoSites, "io");
-}
-
-TEST_F(StrategyFaultSweepTest, TreeMergeAllocationFailuresDegradeCleanly) {
-  Sweep(AggregateStrategy::kTreeMerge, kFaultMemorySites, "memory");
 }
 
 }  // namespace
