@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "common/file_system.h"
 
@@ -191,10 +192,13 @@ QueryResult RunOnce(SystemKind system, const tpch::LineitemGenerator &gen,
   auto source = gen.MakeSource(query.projection);
   CountingCollector collector;
 
-  // Attribute registry growth to this query for every system model; the
-  // robust path gets the richer profile from RunGroupedAggregation itself.
-  RegistryDelta delta;
-  bool profile_filled = false;
+  // Attribute registry growth to this query for the baseline system models;
+  // the robust path gets the richer profile from RunGroupedAggregation
+  // itself, so it skips the two registry walks.
+  std::optional<RegistryDelta> delta;
+  if (system != SystemKind::kRobust) {
+    delta.emplace();
+  }
 
   auto start = std::chrono::steady_clock::now();
   Status status;
@@ -205,7 +209,6 @@ QueryResult RunOnce(SystemKind system, const tpch::LineitemGenerator &gen,
                                          executor, options.AggConfig(),
                                          &result.profile);
       status = stats.ok() ? Status::OK() : stats.status();
-      profile_filled = true;
       break;
     }
     case SystemKind::kUmbra: {
@@ -241,10 +244,10 @@ QueryResult RunOnce(SystemKind system, const tpch::LineitemGenerator &gen,
   result.tag = TagFromStatus(status);
   result.result_rows = collector.TotalRows();
   result.snapshot = bm.Snapshot();
-  if (!profile_filled) {
+  if (delta.has_value()) {
     result.profile.threads = executor.num_threads();
     result.profile.total_seconds = result.seconds;
-    delta.AddTo(result.profile);
+    delta->AddTo(result.profile);
     const ExecutorStats &exec = executor.stats();
     result.profile.AddTiming("exec.worker_seconds", exec.worker_seconds);
     result.profile.AddTiming("exec.source_seconds", exec.source_seconds);

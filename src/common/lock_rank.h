@@ -43,6 +43,7 @@ enum class LockRank : std::uint16_t {
   kCollector = 26,          // MaterializedCollector::lock_
   kCollectorOffsets = 27,   // OffsetCollector::lock_
   kErrorCollector = 28,     // TaskExecutor ErrorCollector::lock_
+  kExecutorPool = 29,       // TaskExecutor::pool_lock_
 
   // --- Buffer / spill (DESIGN.md section 9 core hierarchy) ---------------
   kBlockHandle = 30,        // BlockHandle::lock_
@@ -57,6 +58,7 @@ enum class LockRank : std::uint16_t {
   kIoCompletion = 76,       // IoCompletion::lock_
 
   // --- Observability (leaf-most: callable from anywhere) -----------------
+  kThreadSlotTable = 80,    // ThreadSlotTable::lock_ (held over the two below)
   kMetricsRegistry = 84,    // MetricsRegistry::lock_
   kTraceRecorder = 85,      // TraceRecorder::lock_
   kQueryProgress = 86,      // QueryProgress::lock_

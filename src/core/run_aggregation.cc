@@ -1,6 +1,7 @@
 #include "core/run_aggregation.h"
 
 #include <chrono>
+#include <optional>
 
 #include "buffer/memory_grant.h"
 #include "observe/flight_recorder.h"
@@ -79,8 +80,12 @@ Result<HashAggregateStats> RunGroupedAggregation(
     agg->SetProgress(progress);
   }
   // Per-query attribution against the cumulative process-wide registry and
-  // executor counters: snapshot before, subtract after.
-  RegistryDelta delta;
+  // executor counters: snapshot before, subtract after. The registry
+  // snapshot walks every shard, so it is only taken for a profile.
+  std::optional<RegistryDelta> delta;
+  if (profile != nullptr) {
+    delta.emplace();
+  }
   ExecutorStats exec_before = executor.stats();
   static const idx_t query_latency_hist =
       MetricsRegistry::Global().HistogramId("query.latency_ns");
@@ -134,7 +139,7 @@ Result<HashAggregateStats> RunGroupedAggregation(
     profile->phase2_seconds += stats.phase2_seconds;
     profile->total_seconds += std::chrono::duration<double>(t2 - t0).count();
     AddAggregateStats(stats, *profile);
-    delta.AddTo(*profile);
+    delta->AddTo(*profile);
 
     ExecutorStats exec = executor.stats();
     profile->AddTiming("exec.worker_seconds",

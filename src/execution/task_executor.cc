@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
 
 #include "buffer/memory_grant.h"
 #include "observe/metrics.h"
@@ -43,6 +42,9 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+/// The executor whose pool the calling thread belongs to, if any.
+thread_local const TaskExecutor *pool_owner = nullptr;
+
 }  // namespace
 
 void ExecutorStats::Merge(const ExecutorStats &other) {
@@ -67,6 +69,73 @@ TaskExecutor::TaskExecutor(idx_t num_threads) : num_threads_(num_threads) {
   key_sink_ns_ = registry.KeyId("exec.sink_ns");
   key_combine_ns_ = registry.KeyId("exec.combine_ns");
   hist_morsel_sink_ = registry.HistogramId("exec.morsel_sink_ns");
+}
+
+TaskExecutor::~TaskExecutor() {
+  std::vector<std::thread> workers;
+  {
+    ScopedLock guard(pool_lock_);
+    SSAGG_DASSERT(job_ == nullptr);
+    shutdown_ = true;
+    workers.swap(workers_);
+  }
+  work_cv_.NotifyAll();
+  for (auto &worker : workers) {
+    worker.join();
+  }
+}
+
+void TaskExecutor::RunOnWorkers(idx_t n, const std::function<void()> &body) {
+  if (n <= 1 || pool_owner == this) {
+    body();
+    return;
+  }
+  SSAGG_DASSERT(n <= num_threads_);
+  ScopedLock guard(pool_lock_);
+  // Runs are serialized: wait for a run in flight to finish.
+  done_cv_.Wait(pool_lock_, [this]() SSAGG_REQUIRES(pool_lock_) {
+    return job_ == nullptr;
+  });
+  while (workers_.size() < num_threads_) {
+    workers_.emplace_back([this]() { WorkerLoop(); });
+  }
+  job_ = &body;
+  job_generation_++;
+  unclaimed_ = n;
+  running_ = n;
+  work_cv_.NotifyAll();
+  done_cv_.Wait(pool_lock_, [this]() SSAGG_REQUIRES(pool_lock_) {
+    return running_ == 0;
+  });
+  job_ = nullptr;
+  // Wakes a caller queued behind this run.
+  done_cv_.NotifyAll();
+}
+
+void TaskExecutor::WorkerLoop() {
+  pool_owner = this;
+  uint64_t last_generation = 0;
+  while (true) {
+    const std::function<void()> *job;
+    {
+      ScopedLock guard(pool_lock_);
+      work_cv_.Wait(pool_lock_, [&]() SSAGG_REQUIRES(pool_lock_) {
+        return shutdown_ ||
+               (unclaimed_ > 0 && job_generation_ != last_generation);
+      });
+      if (shutdown_) {
+        return;
+      }
+      unclaimed_--;
+      last_generation = job_generation_;
+      job = job_;
+    }
+    (*job)();
+    ScopedLock guard(pool_lock_);
+    if (--running_ == 0) {
+      done_cv_.NotifyAll();
+    }
+  }
 }
 
 void TaskExecutor::SetDeadline(double seconds_from_now) {
@@ -114,8 +183,8 @@ Status TaskExecutor::RunPipeline(DataSource &source, DataSink &sink,
                                  QueryProgress *progress) {
   TraceSpan pipeline_span("pipeline", "exec");
   ErrorCollector errors;
-  auto worker = [&]() {
-    // The session's grant travels to every worker: spawned threads have no
+  std::function<void()> worker = [&]() {
+    // The session's grant travels to every worker: pool threads have no
     // scope of their own, and inline execution (num_threads <= 1) nests
     // harmlessly inside the caller's identical scope.
     GrantScope grant_scope(memory_grant_);
@@ -189,25 +258,14 @@ Status TaskExecutor::RunPipeline(DataSource &source, DataSink &sink,
     AccumulateWorker(local);
   };
 
-  if (num_threads_ <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(num_threads_);
-    for (idx_t t = 0; t < num_threads_; t++) {
-      threads.emplace_back(worker);
-    }
-    for (auto &th : threads) {
-      th.join();
-    }
-  }
+  RunOnWorkers(num_threads_, worker);
   return errors.Take();
 }
 
 Status TaskExecutor::RunTasks(const std::vector<std::function<Status()>> &tasks) {
   ErrorCollector errors;
   std::atomic<idx_t> next{0};
-  auto worker = [&]() {
+  std::function<void()> worker = [&]() {
     GrantScope grant_scope(memory_grant_);
     ExecutorStats local;
     while (!errors.Failed()) {
@@ -227,19 +285,7 @@ Status TaskExecutor::RunTasks(const std::vector<std::function<Status()>> &tasks)
     }
     AccumulateWorker(local);
   };
-  idx_t nthreads = std::min<idx_t>(num_threads_, tasks.size());
-  if (nthreads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(nthreads);
-    for (idx_t t = 0; t < nthreads; t++) {
-      threads.emplace_back(worker);
-    }
-    for (auto &th : threads) {
-      th.join();
-    }
-  }
+  RunOnWorkers(std::min<idx_t>(num_threads_, tasks.size()), worker);
   return errors.Take();
 }
 

@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <functional>
+#include <thread>
 #include <vector>
 
 #include "common/mutex.h"
@@ -32,13 +33,26 @@ struct ExecutorStats {
   void Merge(const ExecutorStats &other);
 };
 
-/// Runs morsel-driven pipelines and parallel task sets on a fixed number of
-/// worker threads (paper Section V, "Parallelism"). Each pipeline run
-/// spawns the workers, drives source -> sink until the source is dry, and
-/// calls Combine once per thread. The first error aborts the run.
+/// Runs morsel-driven pipelines and parallel task sets on a fixed set of
+/// worker threads (paper Section V, "Parallelism"). The executor owns
+/// num_threads workers: they start on the first multi-threaded run, park
+/// between runs, and are joined by the destructor. A pipeline run hands the
+/// worker body to every worker, which drives source -> sink until the
+/// source is dry and calls Combine once; the caller waits for all of them.
+/// The first error aborts the run.
+///
+/// Runs on one executor are serialized: a second caller waits until the
+/// pool is idle. A run started from one of the executor's own workers (a
+/// task that itself calls RunTasks) executes inline on that worker, as a
+/// single-threaded run always does.
 class TaskExecutor {
  public:
   explicit TaskExecutor(idx_t num_threads);
+  /// Joins the workers; no run may be in flight.
+  ~TaskExecutor();
+
+  TaskExecutor(const TaskExecutor &) = delete;
+  TaskExecutor &operator=(const TaskExecutor &) = delete;
 
   [[nodiscard]] idx_t num_threads() const { return num_threads_; }
 
@@ -49,8 +63,8 @@ class TaskExecutor {
   void ClearDeadline() { has_deadline_ = false; }
   Status CheckDeadline() const;
 
-  /// Installs the query's memory grant on every worker thread this executor
-  /// spawns (GrantScope around the worker body), so all buffer-manager
+  /// Installs the query's memory grant on every worker for the duration of
+  /// each run (GrantScope around the worker body), so all buffer-manager
   /// reservations made by the run are charged to it. nullptr clears. Set by
   /// the QueryService before a session's run; like SetDeadline, not
   /// thread-safe against a run in flight.
@@ -80,6 +94,14 @@ class TaskExecutor {
   /// registry.
   void AccumulateWorker(const ExecutorStats &local);
 
+  /// Runs `body` once on each of `n` (<= num_threads_) distinct workers and
+  /// returns when all n are done; runs it inline when n <= 1 or when called
+  /// from one of this executor's workers.
+  void RunOnWorkers(idx_t n, const std::function<void()> &body);
+  /// A worker thread's life: wait for a job slot, run it, repeat until
+  /// shutdown. The pool lock is never held while a job runs.
+  void WorkerLoop();
+
   idx_t num_threads_;
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_{};
@@ -99,6 +121,21 @@ class TaskExecutor {
   idx_t key_combine_ns_;
   /// Per-morsel Sink() duration histogram ("exec.morsel_sink_ns").
   idx_t hist_morsel_sink_;
+
+  // The worker pool. Declared last: the workers use every member above.
+  Mutex pool_lock_{LockRank::kExecutorPool, "TaskExecutor::pool_lock_"};
+  /// Workers wait here for a job slot or shutdown.
+  CondVar work_cv_;
+  /// Callers wait here for their job to finish or for the pool to go idle.
+  CondVar done_cv_;
+  /// The posted job, nullptr while the pool is idle.
+  const std::function<void()> *job_ SSAGG_GUARDED_BY(pool_lock_) = nullptr;
+  /// Bumped per job, so a worker takes at most one slot of each.
+  uint64_t job_generation_ SSAGG_GUARDED_BY(pool_lock_) = 0;
+  idx_t unclaimed_ SSAGG_GUARDED_BY(pool_lock_) = 0;
+  idx_t running_ SSAGG_GUARDED_BY(pool_lock_) = 0;
+  bool shutdown_ SSAGG_GUARDED_BY(pool_lock_) = false;
+  std::vector<std::thread> workers_ SSAGG_GUARDED_BY(pool_lock_);
 };
 
 }  // namespace ssagg

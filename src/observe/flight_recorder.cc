@@ -3,18 +3,13 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <unordered_map>
 
 #include "observe/log.h"
 
 namespace ssagg {
 
-namespace {
-std::atomic<uint64_t> next_recorder_id{1};
-}  // namespace
-
 FlightRecorder::FlightRecorder()
-    : recorder_id_(next_recorder_id.fetch_add(1, std::memory_order_relaxed)) {}
+    : slots_([this](void *ring) { ReleaseRing(static_cast<Ring *>(ring)); }) {}
 
 FlightRecorder &FlightRecorder::Global() {
   // Leaked so instrumentation may record during static destruction, same as
@@ -40,23 +35,31 @@ FlightRecorder::Ring &FlightRecorder::LocalRing() {
     Ring *ring = nullptr;
   };
   thread_local LastUsed last;
-  thread_local std::unordered_map<uint64_t, Ring *> ring_by_recorder;
-  if (last.recorder_id == recorder_id_) {
+  if (last.recorder_id == slots_.id()) {
     return *last.ring;
   }
-  auto it = ring_by_recorder.find(recorder_id_);
-  if (it == ring_by_recorder.end()) {
-    auto ring = std::make_unique<Ring>();
-    Ring *raw = ring.get();
+  auto *ring = static_cast<Ring *>(slots_.Find());
+  if (ring == nullptr) {
     {
       ScopedLock guard(lock_);
-      raw->tid = next_tid_++;
-      rings_.push_back(std::move(ring));
+      if (free_rings_.empty()) {
+        rings_.push_back(std::make_unique<Ring>());
+        ring = rings_.back().get();
+        ring->slot = static_cast<uint32_t>(rings_.size());
+      } else {
+        ring = free_rings_.back();
+        free_rings_.pop_back();
+      }
     }
-    it = ring_by_recorder.emplace(recorder_id_, raw).first;
+    slots_.Bind(ring);
   }
-  last = LastUsed{recorder_id_, it->second};
-  return *it->second;
+  last = LastUsed{slots_.id(), ring};
+  return *ring;
+}
+
+void FlightRecorder::ReleaseRing(Ring *ring) {
+  ScopedLock guard(lock_);
+  free_rings_.push_back(ring);
 }
 
 void FlightRecorder::Record(const char *name, const char *category, char phase,
@@ -114,7 +117,7 @@ Json FlightRecorder::ToJson() const {
       e.Set("cat", category == nullptr ? "flight" : category);
       e.Set("ph", std::string(1, phase));
       e.Set("pid", uint64_t(1));
-      e.Set("tid", static_cast<uint64_t>(ring->tid));
+      e.Set("tid", static_cast<uint64_t>(ring->slot));
       e.Set("ts", ts_us);
       if (phase == 'X') {
         e.Set("dur", dur_us);
@@ -183,6 +186,11 @@ idx_t FlightRecorder::EventCount() const {
     total += static_cast<idx_t>(head < kRingEvents ? head : kRingEvents);
   }
   return total;
+}
+
+idx_t FlightRecorder::RingCount() const {
+  ScopedLock guard(lock_);
+  return rings_.size();
 }
 
 void FlightRecorder::Clear() {

@@ -9,6 +9,7 @@
 #include "common/constants.h"
 #include "common/mutex.h"
 #include "observe/json.h"
+#include "observe/thread_slots.h"
 
 namespace ssagg {
 
@@ -18,10 +19,16 @@ namespace ssagg {
 ///
 /// Hot-path contract: Record touches only the calling thread's ring — a
 /// fixed block of relaxed atomic words plus one release store on the ring
-/// head. No locks, no allocation (the ring is allocated once per thread on
-/// first use), and instrumentation sites pay a single relaxed load when the
-/// recorder is disabled. Event fields mirror TraceRecorder::Event; name and
-/// category must be string literals (the ring stores the pointers).
+/// head. No locks, no allocation (a thread takes its ring on first use), and
+/// instrumentation sites pay a single relaxed load when the recorder is
+/// disabled. Event fields mirror TraceRecorder::Event; name and category
+/// must be string literals (the ring stores the pointers).
+///
+/// Rings are recycled: an exiting thread hands its ring back (events
+/// intact) and the next new thread appends to it, so the ring count is
+/// bounded by the peak number of concurrently live threads
+/// (observe/thread_slots.h). A ring's "tid" in the dumped trace is
+/// therefore its slot number, shared by the threads that used it in turn.
 ///
 /// Readers (DumpAnomaly / ToJson) walk the rings while writers may still be
 /// appending. Every word is individually atomic, so a concurrent overwrite
@@ -82,6 +89,8 @@ class FlightRecorder {
   [[nodiscard]] idx_t EventCount() const;
   /// Test hook: forgets all retained events (rings stay registered).
   void Clear();
+  /// Rings ever created (live threads' plus free ones).
+  [[nodiscard]] idx_t RingCount() const;
 
   /// Installs a SIGUSR1 handler that dumps the global recorder. The handler
   /// allocates and takes locks, so it is NOT async-signal-safe — it is a
@@ -99,25 +108,28 @@ class FlightRecorder {
     /// Total events ever written; slot = head % kRingEvents. Single writer
     /// (the owning thread); release store pairs with readers' acquire.
     std::atomic<uint64_t> head{0};
-    uint32_t tid = 0;
+    /// 1-based creation index, reported as the events' "tid".
+    uint32_t slot = 0;
     std::atomic<uint64_t> words[kRingEvents * kWords] = {};
   };
 
   Ring &LocalRing();
-
-  /// Distinguishes recorders in the thread-local ring cache (tests may
-  /// build private instances); ids are never reused.
-  const uint64_t recorder_id_;
+  /// Takes back the ring of an exiting thread (ThreadSlots release hook).
+  void ReleaseRing(Ring *ring);
 
   std::atomic<bool> enabled_{true};
   std::atomic<uint64_t> dump_seq_{0};
 
-  /// Protects ring registration and the dump directory. Never taken on the
-  /// record path after a thread's first event.
+  /// Protects ring registration, the free list and the dump directory.
+  /// Never taken on the record path after a thread's first event.
   mutable Mutex lock_{LockRank::kFlightRecorder, "FlightRecorder::lock_"};
   std::vector<std::unique_ptr<Ring>> rings_ SSAGG_GUARDED_BY(lock_);
+  /// Rings of exited threads, handed to the next new thread.
+  std::vector<Ring *> free_rings_ SSAGG_GUARDED_BY(lock_);
   std::string dump_dir_ SSAGG_GUARDED_BY(lock_);
-  uint32_t next_tid_ SSAGG_GUARDED_BY(lock_) = 1;
+  /// Last member, so it is destroyed first (see ThreadSlots); its id keys
+  /// the thread-local ring cache (tests may build private instances).
+  ThreadSlots slots_;
 };
 
 }  // namespace ssagg

@@ -48,12 +48,10 @@ uint64_t HistogramSnapshot::Percentile(double q) const {
   return max;
 }
 
-namespace {
-std::atomic<uint64_t> next_registry_id{1};
-}  // namespace
-
 MetricsRegistry::MetricsRegistry()
-    : registry_id_(next_registry_id.fetch_add(1, std::memory_order_relaxed)) {
+    : slots_([this](void *shard) {
+        ReleaseShard(static_cast<Shard *>(shard));
+      }) {
   keys_.reserve(64);
 }
 
@@ -78,29 +76,44 @@ idx_t MetricsRegistry::KeyId(const std::string &key) {
 }
 
 MetricsRegistry::Shard &MetricsRegistry::LocalShard() {
-  // One-entry inline cache in front of the per-thread map: repeated Adds to
-  // the same registry (the common case — Global()) skip the hash lookup.
+  // One-entry inline cache in front of the per-thread slot map: repeated
+  // Adds to the same registry (the common case — Global()) skip the hash
+  // lookup. A thread's first Add reuses a shard of an exited thread when
+  // there is one.
   struct LastUsed {
     uint64_t registry_id = 0;
     Shard *shard = nullptr;
   };
   thread_local LastUsed last;
-  thread_local std::unordered_map<uint64_t, Shard *> shard_by_registry;
-  if (last.registry_id == registry_id_) {
+  if (last.registry_id == slots_.id()) {
     return *last.shard;
   }
-  auto it = shard_by_registry.find(registry_id_);
-  if (it == shard_by_registry.end()) {
-    auto shard = std::make_unique<Shard>();
-    Shard *raw = shard.get();
+  auto *shard = static_cast<Shard *>(slots_.Find());
+  if (shard == nullptr) {
     {
       ScopedLock guard(lock_);
-      shards_.push_back(std::move(shard));
+      if (free_shards_.empty()) {
+        shards_.push_back(std::make_unique<Shard>());
+        shard = shards_.back().get();
+      } else {
+        shard = free_shards_.back();
+        free_shards_.pop_back();
+      }
     }
-    it = shard_by_registry.emplace(registry_id_, raw).first;
+    slots_.Bind(shard);
   }
-  last = LastUsed{registry_id_, it->second};
-  return *it->second;
+  last = LastUsed{slots_.id(), shard};
+  return *shard;
+}
+
+void MetricsRegistry::ReleaseShard(Shard *shard) {
+  ScopedLock guard(lock_);
+  free_shards_.push_back(shard);
+}
+
+idx_t MetricsRegistry::ShardCount() const {
+  ScopedLock guard(lock_);
+  return shards_.size();
 }
 
 idx_t MetricsRegistry::HistogramId(const std::string &key) {

@@ -13,6 +13,7 @@
 #include "common/constants.h"
 #include "common/mutex.h"
 #include "common/status.h"
+#include "observe/thread_slots.h"
 
 namespace ssagg {
 
@@ -97,10 +98,12 @@ struct HistogramSnapshot {
 /// touch only the calling thread's shard — a plain array slot written with
 /// relaxed atomics, so the hot path takes no lock and shares no cache line
 /// with other threads. Snapshot() walks all shards under the registry lock
-/// and sums per key, which is exact: shards are never removed (a shard
-/// outlives its thread so counts from joined workers are retained — the
-/// task executor spawns fresh threads per pipeline, and their counts must
-/// not vanish with them).
+/// and sums per key, which is exact: a shard outlives its thread, so counts
+/// from joined threads are retained. When a thread exits, its shard goes
+/// back to a free list (counts intact) and the next new thread continues
+/// adding into it — counters and histograms are sums and maxes, so reuse
+/// keeps every merged value exact while the shard count stays bounded by
+/// the peak number of concurrently live threads (observe/thread_slots.h).
 ///
 /// Timers are counters holding nanoseconds; see ScopedTimerNs.
 ///
@@ -192,6 +195,9 @@ class MetricsRegistry {
   void Reset();
 
   [[nodiscard]] idx_t KeyCount() const;
+  /// Shards ever created (live threads' plus free ones); tests use it to
+  /// check that the count tracks peak concurrency, not threads started.
+  [[nodiscard]] idx_t ShardCount() const;
 
  private:
   struct HistogramShard {
@@ -225,6 +231,8 @@ class MetricsRegistry {
   };
 
   Shard &LocalShard();
+  /// Takes back the shard of an exiting thread (ThreadSlots release hook).
+  void ReleaseShard(Shard *shard);
   /// Slow path of Record: allocates the calling thread's histogram block.
   /// Only the shard-owning thread writes `histograms`, so a plain release
   /// store publishes it.
@@ -232,16 +240,11 @@ class MetricsRegistry {
   HistogramSnapshot MergedHistogramLocked(idx_t hist_id) const
       SSAGG_REQUIRES(lock_);
 
-  /// Distinguishes registries in the thread-local shard cache; never
-  /// reused, so a destroyed registry's cache entries go permanently stale
-  /// instead of aliasing a new instance.
-  const uint64_t registry_id_;
-
-  /// Protects key registration and the shard list. The hot path (Add) is
-  /// annotation-exempt by construction: it touches only the calling
-  /// thread's shard through relaxed atomics (see DESIGN.md section 9), and
-  /// a Shard pointer, once published in shards_, is stable until the
-  /// registry dies.
+  /// Protects key registration, the shard list and its free list. The hot
+  /// path (Add) is annotation-exempt by construction: it touches only the
+  /// calling thread's shard through relaxed atomics (see DESIGN.md section
+  /// 9), and a Shard pointer, once published in shards_, is stable until
+  /// the registry dies.
   mutable Mutex lock_{LockRank::kMetricsRegistry, "MetricsRegistry::lock_"};
   std::vector<std::string> keys_ SSAGG_GUARDED_BY(lock_);   // id -> key
   std::unordered_map<std::string, idx_t> key_ids_
@@ -249,6 +252,11 @@ class MetricsRegistry {
   std::vector<std::string> hist_keys_ SSAGG_GUARDED_BY(lock_);
   std::unordered_map<std::string, idx_t> hist_key_ids_ SSAGG_GUARDED_BY(lock_);
   std::vector<std::unique_ptr<Shard>> shards_ SSAGG_GUARDED_BY(lock_);
+  /// Shards of exited threads, handed to the next new thread.
+  std::vector<Shard *> free_shards_ SSAGG_GUARDED_BY(lock_);
+  /// Last member, so it is destroyed first (see ThreadSlots); its id keys
+  /// the thread-local shard cache.
+  ThreadSlots slots_;
 };
 
 /// Adds the elapsed wall-clock nanoseconds to a registry counter when it

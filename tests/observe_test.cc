@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -94,6 +95,55 @@ TEST(MetricsRegistryTest, TwoRegistriesDoNotAlias) {
   }
   EXPECT_EQ(first.Value("x"), 1000u);
   EXPECT_EQ(second.Value("x"), 2000u);
+}
+
+TEST(MetricsRegistryTest, ExitedThreadsRecycleShardsAndRings) {
+  MetricsRegistry &registry = MetricsRegistry::Global();
+  FlightRecorder &recorder = FlightRecorder::Global();
+  const std::string key = "test.recycled_thread_adds";
+  const uint64_t value_before = registry.Value(key);
+  const idx_t shards_before = registry.ShardCount();
+  const idx_t rings_before = recorder.RingCount();
+  for (int t = 0; t < 64; t++) {
+    std::thread([&]() {
+      registry.Add(key, 1);
+      recorder.Record("recycled", "test", 'i', 0, 0, kInvalidIndex);
+    }).join();
+  }
+  // Reused shards keep their counts, so the sum stays exact.
+  EXPECT_EQ(registry.Value(key), value_before + 64);
+  EXPECT_LE(registry.ShardCount(), shards_before + 1);
+  EXPECT_LE(recorder.RingCount(), rings_before + 1);
+}
+
+TEST(MetricsRegistryTest, StoresDestroyedBeforeThreadExitAreSkipped) {
+  // A thread holding slots of local stores outlives them; at its exit it
+  // must neither touch the freed stores (ASan) nor hand its slots to new
+  // stores built in their place.
+  auto registry = std::make_unique<MetricsRegistry>();
+  auto recorder = std::make_unique<FlightRecorder>();
+  std::atomic<int> stage{0};
+  std::thread user([&]() {
+    registry->Add("x", 1);
+    recorder->Record("local", "test", 'i', 0, 0, kInvalidIndex);
+    stage.store(1);
+    while (stage.load() != 2) {
+      std::this_thread::yield();
+    }
+  });
+  while (stage.load() != 1) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(registry->Value("x"), 1u);
+  EXPECT_EQ(recorder->EventCount(), 1u);
+  registry.reset();
+  recorder.reset();
+  auto next_registry = std::make_unique<MetricsRegistry>();
+  auto next_recorder = std::make_unique<FlightRecorder>();
+  stage.store(2);
+  user.join();
+  EXPECT_EQ(next_registry->ShardCount(), 0u);
+  EXPECT_EQ(next_recorder->RingCount(), 0u);
 }
 
 TEST(MetricsRegistryTest, ScopedTimerAccumulatesNanoseconds) {

@@ -25,6 +25,8 @@
 #include "buffer/memory_grant.h"
 #include "execution/collectors.h"
 #include "execution/range_source.h"
+#include "observe/flight_recorder.h"
+#include "observe/metrics.h"
 #include "testing/fault_injector.h"
 
 namespace ssagg {
@@ -269,6 +271,37 @@ TEST_F(QueryServiceTest, SingleQueryCompletesAndAccountsItself) {
   EXPECT_EQ(svc.queued, 0u);
   EXPECT_EQ(svc.failed, 0u);
   EXPECT_EQ(progress.Poll().phase, QueryProgress::Phase::kDone);
+  ExpectQuiesced(bm, service);
+}
+
+TEST_F(QueryServiceTest, SequentialQueriesReuseObservabilitySlots) {
+  // Every query builds its own executor, whose workers exit when it ends.
+  // Their metrics shards and flight rings go back to the global stores and
+  // the next query's workers reuse them, so the stores grow with the
+  // thread count, not with the query count.
+  constexpr idx_t kThreads = 4;
+  BufferManager bm(dir_, 64 * kPageSize);
+  QueryServiceOptions options;
+  options.threads = kThreads;
+  QueryService service(bm, options);
+  const idx_t shards_before = MetricsRegistry::Global().ShardCount();
+  const idx_t rings_before = FlightRecorder::Global().RingCount();
+  for (int q = 0; q < 20; q++) {
+    auto source = MakeGroupedSource(20000, 256);
+    CountingCollector collector;
+    QuerySpec spec;
+    spec.source = &source;
+    spec.group_columns = {0};
+    spec.aggregates = SumCountAggregates();
+    spec.output = &collector;
+    auto stats = service.Execute(spec);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(collector.TotalRows(), 256u);
+  }
+  // One query's workers plus the submitting thread.
+  EXPECT_LE(MetricsRegistry::Global().ShardCount(),
+            shards_before + kThreads + 1);
+  EXPECT_LE(FlightRecorder::Global().RingCount(), rings_before + kThreads + 1);
   ExpectQuiesced(bm, service);
 }
 

@@ -4,8 +4,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <set>
 #include <thread>
+#include <vector>
 
+#include "common/mutex.h"
 #include "execution/collectors.h"
 #include "execution/range_source.h"
 
@@ -145,6 +149,153 @@ TEST(TaskExecutorTest, RewindAllowsSecondScan) {
   ASSERT_TRUE(source.Rewind().ok());
   ASSERT_TRUE(executor.RunPipeline(source, sink).ok());
   EXPECT_EQ(sink.TotalRows(), 200000u);
+}
+
+/// Records the id of every thread that runs a sink or a task.
+class ThreadIdLog {
+ public:
+  void Note() {
+    ScopedLock guard(lock_);
+    ids_.insert(std::this_thread::get_id());
+  }
+  std::set<std::thread::id> ids() {
+    ScopedLock guard(lock_);
+    return ids_;
+  }
+
+ private:
+  Mutex lock_;
+  std::set<std::thread::id> ids_ SSAGG_GUARDED_BY(lock_);
+};
+
+class ThreadIdSink : public DataSink {
+ public:
+  explicit ThreadIdSink(ThreadIdLog &log) : log_(log) {}
+  Result<std::unique_ptr<LocalSinkState>> InitLocal() override {
+    log_.Note();
+    struct S : LocalSinkState {};
+    return std::unique_ptr<LocalSinkState>(new S());
+  }
+  Status Sink(DataChunk &, LocalSinkState &) override { return Status::OK(); }
+  Status Combine(LocalSinkState &) override { return Status::OK(); }
+
+ private:
+  ThreadIdLog &log_;
+};
+
+TEST(TaskExecutorTest, WorkersArePersistent) {
+  TaskExecutor executor(4);
+  ThreadIdLog log;
+  for (int run = 0; run < 50; run++) {
+    if (run % 2 == 0) {
+      auto source = CountingSource(kMorselSize * 8);
+      ThreadIdSink sink(log);
+      ASSERT_TRUE(executor.RunPipeline(source, sink).ok());
+    } else {
+      std::vector<std::function<Status()>> tasks(8, [&log]() {
+        log.Note();
+        return Status::OK();
+      });
+      ASSERT_TRUE(executor.RunTasks(tasks).ok());
+    }
+  }
+  auto ids = log.ids();
+  EXPECT_GE(ids.size(), 2u);
+  EXPECT_LE(ids.size(), 4u);
+  EXPECT_EQ(ids.count(std::this_thread::get_id()), 0u)
+      << "a multi-threaded run executed on the calling thread";
+}
+
+TEST(TaskExecutorTest, NestedRunExecutesInline) {
+  TaskExecutor executor(4);
+  std::atomic<int> inner_runs{0};
+  std::atomic<int> inline_runs{0};
+  std::vector<std::function<Status()>> outer;
+  for (int i = 0; i < 4; i++) {
+    outer.push_back([&]() {
+      const auto outer_thread = std::this_thread::get_id();
+      std::vector<std::function<Status()>> inner(3, [&]() {
+        inner_runs.fetch_add(1);
+        if (std::this_thread::get_id() == outer_thread) {
+          inline_runs.fetch_add(1);
+        }
+        return Status::OK();
+      });
+      return executor.RunTasks(inner);
+    });
+  }
+  ASSERT_TRUE(executor.RunTasks(outer).ok());
+  EXPECT_EQ(inner_runs.load(), 12);
+  EXPECT_EQ(inline_runs.load(), 12);
+}
+
+/// Counts how often each row value arrives, to check exactly-once delivery.
+class RowTallySink : public DataSink {
+ public:
+  explicit RowTallySink(idx_t rows) : seen_(rows) {}
+  Result<std::unique_ptr<LocalSinkState>> InitLocal() override {
+    struct S : LocalSinkState {};
+    return std::unique_ptr<LocalSinkState>(new S());
+  }
+  Status Sink(DataChunk &chunk, LocalSinkState &) override {
+    for (idx_t i = 0; i < chunk.size(); i++) {
+      auto row = static_cast<idx_t>(chunk.column(0).GetValue<int64_t>(i));
+      seen_[row].fetch_add(1, std::memory_order_relaxed);
+    }
+    return Status::OK();
+  }
+  Status Combine(LocalSinkState &) override { return Status::OK(); }
+  idx_t RowsSeenExactlyOnce() const {
+    idx_t once = 0;
+    for (const auto &count : seen_) {
+      once += count.load() == 1 ? 1 : 0;
+    }
+    return once;
+  }
+
+ private:
+  std::vector<std::atomic<int>> seen_;
+};
+
+TEST(TaskExecutorTest, FailedRunThenCleanRun) {
+  TaskExecutor executor(4);
+  {
+    auto source = CountingSource(kMorselSize * 32);
+    FailingSink sink;
+    Status st = executor.RunPipeline(source, sink);
+    ASSERT_EQ(st.code(), StatusCode::kInternal);
+  }
+  constexpr idx_t kRows = kMorselSize * 16 + 17;
+  auto source = CountingSource(kRows);
+  RowTallySink sink(kRows);
+  ASSERT_TRUE(executor.RunPipeline(source, sink).ok());
+  EXPECT_EQ(sink.RowsSeenExactlyOnce(), kRows);
+}
+
+/// Bumps a counter when the thread that touched it exits.
+std::atomic<int> exited_workers{0};
+struct ExitProbe {
+  ~ExitProbe() { exited_workers.fetch_add(1); }
+};
+
+TEST(TaskExecutorTest, DestructorJoinsIdleWorkers) {
+  exited_workers.store(0);
+  auto executor = std::make_unique<TaskExecutor>(4);
+  ThreadIdLog log;
+  std::vector<std::function<Status()>> tasks(16, [&log]() {
+    thread_local ExitProbe probe;
+    (void)probe;
+    log.Note();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return Status::OK();
+  });
+  ASSERT_TRUE(executor->RunTasks(tasks).ok());
+  ASSERT_TRUE(executor->RunTasks(tasks).ok());
+  // Parked between runs, not exited.
+  EXPECT_EQ(exited_workers.load(), 0);
+  executor.reset();
+  // Joined: every worker that ran a task has exited.
+  EXPECT_EQ(static_cast<size_t>(exited_workers.load()), log.ids().size());
 }
 
 }  // namespace
