@@ -59,34 +59,92 @@ idx_t BitsNeeded(uint64_t range) {
   return bits;
 }
 
-/// Appends `bits` low bits of each delta, LSB-first bit stream.
-void PackBits(const std::vector<uint64_t> &deltas, idx_t bits,
+/// Mask of the `bits` (0..64) low bits of a word.
+uint64_t LowBitsMask(idx_t bits) {
+  return bits == 64 ? ~uint64_t(0) : (uint64_t(1) << bits) - 1;
+}
+
+/// Appends the `bits` low bits of each of `count` deltas as one LSB-first bit
+/// stream of ceil(count * bits / 8) bytes, zero-padded in the last byte.
+/// Deltas are gathered into a 64-bit accumulator that is stored a word at a
+/// time.
+void PackBits(const uint64_t *deltas, idx_t count, idx_t bits,
               std::vector<data_t> &out) {
-  idx_t total_bits = deltas.size() * bits;
   idx_t start = out.size();
-  out.resize(start + (total_bits + 7) / 8, 0);
-  idx_t bit_pos = 0;
-  for (uint64_t delta : deltas) {
-    for (idx_t b = 0; b < bits; b++) {
-      if ((delta >> b) & 1) {
-        out[start + ((bit_pos + b) >> 3)] |=
-            static_cast<data_t>(1 << ((bit_pos + b) & 7));
-      }
+  out.resize(start + (count * bits + 7) / 8);
+  if (bits == 0) {
+    return;
+  }
+  const uint64_t mask = LowBitsMask(bits);
+  data_ptr_t dst = out.data() + start;
+  uint64_t word = 0;
+  idx_t filled = 0;  // bits of `word` in use, always < 64 between values
+  for (idx_t i = 0; i < count; i++) {
+    uint64_t delta = deltas[i] & mask;
+    word |= delta << filled;
+    filled += bits;
+    if (filled >= 64) {
+      std::memcpy(dst, &word, 8);
+      dst += 8;
+      filled -= 64;
+      // The high `filled` bits of the delta did not fit; `filled` < bits
+      // here, so the shift is in [1, 63].
+      word = filled == 0 ? 0 : delta >> (bits - filled);
     }
-    bit_pos += bits;
+  }
+  if (filled > 0) {
+    std::memcpy(dst, &word, (filled + 7) / 8);
   }
 }
 
-uint64_t UnpackBits(const_data_ptr_t data, idx_t index, idx_t bits) {
-  uint64_t value = 0;
-  idx_t bit_pos = index * bits;
-  for (idx_t b = 0; b < bits; b++) {
-    idx_t pos = bit_pos + b;
-    if ((data[pos >> 3] >> (pos & 7)) & 1) {
-      value |= uint64_t(1) << b;
-    }
+/// Reads one `bits`-wide value at bit offset `bit_pos`, touching only the
+/// bytes that hold its bits.
+uint64_t UnpackOne(const_data_ptr_t data, idx_t bit_pos, idx_t bits) {
+  const_data_ptr_t p = data + (bit_pos >> 3);
+  idx_t shift = bit_pos & 7;
+  uint64_t value = *p++ >> shift;
+  for (idx_t got = 8 - shift; got < bits; got += 8) {
+    value |= uint64_t(*p++) << got;
   }
-  return value;
+  return value & LowBitsMask(bits);
+}
+
+/// Decodes `count` values of `bits` width from the LSB-first bit stream at
+/// `data` (as written by PackBits) and stores base + value, cast to T, as
+/// `count` consecutive (possibly unaligned) T values at `out`. Requires
+/// count * bits <= size * 8. Widths up to 56 bits use one unaligned 64-bit
+/// load per value while 8 bytes remain in [data, data + size); the last
+/// values and wider widths take the bounded per-byte path. Never reads
+/// outside [data, data + size).
+template <typename T>
+void UnpackBits(const_data_ptr_t data, idx_t size, idx_t count, idx_t bits,
+                uint64_t base, data_ptr_t out) {
+  SSAGG_DASSERT(bits <= 64 && count * bits <= size * 8);
+  auto store = [out](idx_t i, uint64_t value) {
+    auto v = static_cast<T>(value);
+    std::memcpy(out + i * sizeof(T), &v, sizeof(T));
+  };
+  if (bits == 0) {
+    for (idx_t i = 0; i < count; i++) {
+      store(i, base);
+    }
+    return;
+  }
+  idx_t fast = 0;
+  if (bits <= 56 && size >= 8) {
+    // Value i loads bytes [i * bits / 8, i * bits / 8 + 8).
+    fast = std::min(count, ((size - 7) * 8 - 1) / bits + 1);
+  }
+  const uint64_t mask = LowBitsMask(bits);
+  idx_t bit_pos = 0;
+  for (idx_t i = 0; i < fast; i++, bit_pos += bits) {
+    uint64_t word;
+    std::memcpy(&word, data + (bit_pos >> 3), 8);
+    store(i, base + ((word >> (bit_pos & 7)) & mask));
+  }
+  for (idx_t i = fast; i < count; i++, bit_pos += bits) {
+    store(i, base + UnpackOne(data, bit_pos, bits));
+  }
 }
 
 struct RleRun {
@@ -205,7 +263,7 @@ Status CompressSegment(const Vector &input, idx_t count,
       deltas[i] =
           static_cast<uint64_t>(values[i]) - static_cast<uint64_t>(min_v);
     }
-    PackBits(deltas, bits, out);
+    PackBits(deltas.data(), count, bits, out);
     return Status::OK();
   }
   out[codec_pos] = static_cast<data_t>(Codec::kPlain);
@@ -213,135 +271,183 @@ Status CompressSegment(const Vector &input, idx_t count,
   return Status::OK();
 }
 
-Status DecompressSegment(const_data_ptr_t data, idx_t size,
-                         LogicalTypeId type, DecodedSegment &out) {
+namespace {
+
+bool IsIntegerType(LogicalTypeId type) {
+  return type == LogicalTypeId::kInt32 || type == LogicalTypeId::kInt64 ||
+         type == LogicalTypeId::kDate;
+}
+
+/// Marks the NULL rows of a segment's validity bitmap (set bit = valid) in
+/// `out`, which starts all-valid. Segments without NULLs cost one scan of
+/// the bitmap bytes.
+void DecodeValidity(const_data_ptr_t bitmap, idx_t count, Vector &out) {
+  idx_t full_bytes = count / 8;
+  idx_t tail_bits = count % 8;
+  uint8_t tail_mask = static_cast<uint8_t>((1u << tail_bits) - 1);
+  bool all_valid =
+      tail_bits == 0 || (bitmap[full_bytes] & tail_mask) == tail_mask;
+  for (idx_t i = 0; i < full_bytes && all_valid; i++) {
+    all_valid = bitmap[i] == 0xFF;
+  }
+  if (all_valid) {
+    return;
+  }
+  for (idx_t row = 0; row < count; row++) {
+    if (!((bitmap[row >> 3] >> (row & 7)) & 1)) {
+      out.validity().SetInvalid(row);
+    }
+  }
+}
+
+template <typename T>
+Status DecodeRle(const_data_ptr_t cursor, const_data_ptr_t end, idx_t count,
+                 T *out) {
+  if (end - cursor < 4) {
+    return Status::IOError("rle run count out of bounds");
+  }
+  auto nruns = ReadValue<uint32_t>(cursor);
+  constexpr idx_t kRunBytes = sizeof(T) + 4;
+  if (nruns > static_cast<idx_t>(end - cursor) / kRunBytes) {
+    return Status::IOError("rle payload out of bounds");
+  }
+  idx_t i = 0;
+  for (uint32_t r = 0; r < nruns; r++) {
+    auto value = ReadValue<T>(cursor);
+    auto run = ReadValue<uint32_t>(cursor);
+    idx_t n = std::min<idx_t>(run, count - i);
+    std::fill(out + i, out + i + n, value);
+    i += n;
+  }
+  if (i != count) {
+    return Status::IOError("rle run count mismatch");
+  }
+  return Status::OK();
+}
+
+Status DecodeStrings(const_data_ptr_t cursor, const_data_ptr_t end,
+                     idx_t count, Vector &out) {
+  if (static_cast<idx_t>(end - cursor) < 4 * (count + 1)) {
+    return Status::IOError("string offsets out of bounds");
+  }
+  const_data_ptr_t offsets = cursor;
+  cursor += 4 * (count + 1);
+  uint32_t total;
+  std::memcpy(&total, offsets + 4 * count, 4);
+  if (static_cast<idx_t>(end - cursor) < total) {
+    return Status::IOError("string chars out of bounds");
+  }
+  const char *chars = reinterpret_cast<const char *>(cursor);
+  // Non-inlined strings point into one copy of the character data in the
+  // vector's heap, made on the first string that needs it.
+  const char *copy = nullptr;
+  auto *strings = out.Values<string_t>();
+  for (idx_t i = 0; i < count; i++) {
+    uint32_t begin, finish;
+    std::memcpy(&begin, offsets + 4 * i, 4);
+    std::memcpy(&finish, offsets + 4 * (i + 1), 4);
+    if (begin > finish || finish > total) {
+      return Status::IOError("string offsets out of order");
+    }
+    uint32_t len = finish - begin;
+    if (len <= string_t::kInlineLength) {
+      strings[i] = string_t(chars + begin, len);
+      continue;
+    }
+    if (copy == nullptr) {
+      char *dest = out.heap().Allocate(total);
+      std::memcpy(dest, chars, total);
+      copy = dest;
+    }
+    strings[i] = string_t(copy + begin, len);
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status DecodeSegment(const_data_ptr_t data, idx_t size, Vector &out,
+                     idx_t *count) {
   const_data_ptr_t cursor = data;
   const_data_ptr_t end = data + size;
   if (size < 5) {
     return Status::IOError("segment too small");
   }
-  auto codec = static_cast<Codec>(ReadValue<uint8_t>(cursor));
-  auto count = ReadValue<uint32_t>(cursor);
-  idx_t validity_bytes = (count + 7) / 8;
-  if (cursor + validity_bytes > end) {
+  auto codec_id = ReadValue<uint8_t>(cursor);
+  if (codec_id > static_cast<uint8_t>(Codec::kStringPlain)) {
+    return Status::IOError("unknown codec");
+  }
+  auto codec = static_cast<Codec>(codec_id);
+  idx_t rows = ReadValue<uint32_t>(cursor);
+  if (rows > kVectorSize) {
+    return Status::IOError("segment row count " + std::to_string(rows) +
+                           " exceeds the vector size");
+  }
+  idx_t validity_bytes = (rows + 7) / 8;
+  if (static_cast<idx_t>(end - cursor) < validity_bytes) {
     return Status::IOError("segment validity out of bounds");
   }
-  out.type = type;
-  out.count = count;
-  out.validity.assign(cursor, cursor + validity_bytes);
+  out.Reset();
+  DecodeValidity(cursor, rows, out);
   cursor += validity_bytes;
-  idx_t width = TypeWidth(type);
-  out.values.resize(count * width);
-  out.heap.Reset();
+  const LogicalTypeId type = out.type();
+  const idx_t width = out.width();
+  const idx_t remaining = end - cursor;
+  *count = rows;
 
   switch (codec) {
     case Codec::kPlain: {
-      if (cursor + count * width > end) {
+      if (type == LogicalTypeId::kVarchar) {
+        break;
+      }
+      if (remaining < rows * width) {
         return Status::IOError("plain payload out of bounds");
       }
-      if (count != 0) {  // a zero-count segment has a null values buffer
-        std::memcpy(out.values.data(), cursor, count * width);
+      if (rows != 0) {  // a zero-count segment may have no payload pointer
+        std::memcpy(out.data(), cursor, rows * width);
       }
       return Status::OK();
     }
     case Codec::kForBitpack: {
-      auto min_v = ReadValue<int64_t>(cursor);
-      auto bits = ReadValue<uint8_t>(cursor);
-      if (cursor + (count * bits + 7) / 8 > end) {
+      if (!IsIntegerType(type)) {
+        break;
+      }
+      if (remaining < 9) {
+        return Status::IOError("bitpack header out of bounds");
+      }
+      auto base = static_cast<uint64_t>(ReadValue<int64_t>(cursor));
+      idx_t bits = ReadValue<uint8_t>(cursor);
+      if (bits > 64) {
+        return Status::IOError("bitpack width " + std::to_string(bits) +
+                               " exceeds 64 bits");
+      }
+      idx_t payload = end - cursor;
+      if (payload < (rows * bits + 7) / 8) {
         return Status::IOError("bitpack payload out of bounds");
       }
-      for (idx_t i = 0; i < count; i++) {
-        int64_t v = static_cast<int64_t>(static_cast<uint64_t>(min_v) +
-                                         UnpackBits(cursor, i, bits));
-        if (width == 4) {
-          auto v32 = static_cast<int32_t>(v);
-          std::memcpy(out.values.data() + i * 4, &v32, 4);
-        } else {
-          std::memcpy(out.values.data() + i * 8, &v, 8);
-        }
+      if (width == 4) {
+        UnpackBits<int32_t>(cursor, payload, rows, bits, base, out.data());
+      } else {
+        UnpackBits<int64_t>(cursor, payload, rows, bits, base, out.data());
       }
       return Status::OK();
     }
     case Codec::kRle: {
-      auto nruns = ReadValue<uint32_t>(cursor);
-      idx_t i = 0;
-      for (uint32_t r = 0; r < nruns; r++) {
-        if (cursor + width + 4 > end) {
-          return Status::IOError("rle payload out of bounds");
-        }
-        int64_t value;
-        if (width == 4) {
-          value = ReadValue<int32_t>(cursor);
-        } else {
-          value = ReadValue<int64_t>(cursor);
-        }
-        auto run = ReadValue<uint32_t>(cursor);
-        for (uint32_t j = 0; j < run && i < count; j++, i++) {
-          if (width == 4) {
-            auto v32 = static_cast<int32_t>(value);
-            std::memcpy(out.values.data() + i * 4, &v32, 4);
-          } else {
-            std::memcpy(out.values.data() + i * 8, &value, 8);
-          }
-        }
+      if (!IsIntegerType(type)) {
+        break;
       }
-      if (i != count) {
-        return Status::IOError("rle run count mismatch");
-      }
-      return Status::OK();
+      return width == 4 ? DecodeRle(cursor, end, rows, out.Values<int32_t>())
+                        : DecodeRle(cursor, end, rows, out.Values<int64_t>());
     }
     case Codec::kStringPlain: {
-      if (cursor + 4 * (count + 1) > end) {
-        return Status::IOError("string offsets out of bounds");
+      if (type != LogicalTypeId::kVarchar) {
+        break;
       }
-      const_data_ptr_t offsets = cursor;
-      cursor += 4 * (count + 1);
-      uint32_t total;
-      std::memcpy(&total, offsets + 4 * count, 4);
-      if (cursor + total > end) {
-        return Status::IOError("string chars out of bounds");
-      }
-      auto *strings = reinterpret_cast<string_t *>(out.values.data());
-      for (idx_t i = 0; i < count; i++) {
-        uint32_t begin, finish;
-        std::memcpy(&begin, offsets + 4 * i, 4);
-        std::memcpy(&finish, offsets + 4 * (i + 1), 4);
-        strings[i] = out.heap.Add(
-            std::string_view(reinterpret_cast<const char *>(cursor) + begin,
-                             finish - begin));
-      }
-      return Status::OK();
+      return DecodeStrings(cursor, end, rows, out);
     }
   }
-  return Status::IOError("unknown codec");
-}
-
-void CopyDecodedRows(const DecodedSegment &segment, idx_t offset, idx_t count,
-                     Vector &out) {
-  idx_t width = TypeWidth(segment.type);
-  if (segment.type == LogicalTypeId::kVarchar) {
-    const auto *strings =
-        reinterpret_cast<const string_t *>(segment.values.data());
-    for (idx_t i = 0; i < count; i++) {
-      if (!segment.RowIsValid(offset + i)) {
-        out.validity().SetInvalid(i);
-        out.Values<string_t>()[i] = string_t();
-        continue;
-      }
-      out.SetString(i, strings[offset + i].View());
-    }
-    return;
-  }
-  if (count == 0) {
-    return;
-  }
-  std::memcpy(out.data(), segment.values.data() + offset * width,
-              count * width);
-  for (idx_t i = 0; i < count; i++) {
-    if (!segment.RowIsValid(offset + i)) {
-      out.validity().SetInvalid(i);
-    }
-  }
+  return Status::IOError(std::string("codec ") + CodecName(codec) +
+                         " does not match column type " + TypeName(type));
 }
 
 //===----------------------------------------------------------------------===//
@@ -455,7 +561,7 @@ void WordForEncode(const_data_ptr_t data, idx_t size,
       std::memcpy(&v, data + (start + i) * 8, 8);
       deltas[i] = v - min_value;
     }
-    PackBits(deltas, bits, out);
+    PackBits(deltas.data(), n, bits, out);
   }
 }
 
@@ -490,10 +596,8 @@ Status WordForDecode(const_data_ptr_t data, idx_t size, data_ptr_t out,
       return Status::IOError("corrupt spill frame: FoR packed block "
                              "truncated");
     }
-    for (idx_t i = 0; i < n; i++) {
-      uint64_t v = min_value + UnpackBits(data + in, i, bits);
-      std::memcpy(out + (start + i) * 8, &v, 8);
-    }
+    UnpackBits<uint64_t>(data + in, size - in, n, bits, min_value,
+                         out + start * 8);
     in += packed;
   }
   if (in != size) {

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/string_heap.h"
 #include "common/vector.h"
 
 namespace ssagg {
@@ -31,28 +30,15 @@ enum class Codec : uint8_t {
 Status CompressSegment(const Vector &input, idx_t count,
                        std::vector<data_t> &out);
 
-/// A fully decoded segment, held by scan states so consecutive vectors of
-/// the same segment decompress only once.
-struct DecodedSegment {
-  LogicalTypeId type = LogicalTypeId::kInt64;
-  idx_t count = 0;
-  std::vector<data_t> values;     // count * TypeWidth(type) bytes
-  std::vector<uint8_t> validity;  // 1 bit per row, set = valid
-  StringHeap heap;                // character data of decoded strings
-
-  bool RowIsValid(idx_t row) const {
-    return (validity[row >> 3] >> (row & 7)) & 1;
-  }
-};
-
-/// Decodes a segment produced by CompressSegment.
-Status DecompressSegment(const_data_ptr_t data, idx_t size,
-                         LogicalTypeId type, DecodedSegment &out);
-
-/// Copies rows [offset, offset + count) of a decoded segment into the
-/// first `count` rows of `out` (strings are copied into the vector heap).
-void CopyDecodedRows(const DecodedSegment &segment, idx_t offset, idx_t count,
-                     Vector &out);
+/// Decodes a segment produced by CompressSegment straight into `out`,
+/// whose type selects the value layout: rows [0, *count) receive the values,
+/// NULL rows are marked invalid, and strings are copied into out's own heap.
+/// `out` is reset first. Rejects corrupt input with a Status: a truncated
+/// header or payload, a row count above kVectorSize (out's capacity), a codec
+/// that does not fit out's type, a bit width above 64, or string offsets
+/// outside the character data. Never reads outside [data, data + size).
+Status DecodeSegment(const_data_ptr_t data, idx_t size, Vector &out,
+                     idx_t *count);
 
 const char *CodecName(Codec codec);
 

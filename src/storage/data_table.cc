@@ -12,8 +12,10 @@ namespace ssagg {
 //===----------------------------------------------------------------------===//
 
 /// Morsel-parallel scan: worker threads claim row groups through an atomic
-/// counter; each GetData decompresses one row group of the projected
-/// columns into the output chunk.
+/// counter; each GetData decodes one row group of the projected columns
+/// straight into the output chunk. A row group holds at most kVectorSize
+/// rows (kRowGroupSize == kVectorSize), so each column segment fills exactly
+/// one output vector and needs no staging.
 class TableScanSource : public DataSource {
  public:
   TableScanSource(DataTable &table, BufferManager &buffer_manager,
@@ -31,11 +33,10 @@ class TableScanSource : public DataSource {
   }
 
   Result<std::unique_ptr<LocalSourceState>> InitLocal() override {
-    return std::unique_ptr<LocalSourceState>(new LocalState());
+    return std::make_unique<LocalSourceState>();
   }
 
-  Result<bool> GetData(DataChunk &chunk, LocalSourceState &state) override {
-    auto &local = static_cast<LocalState &>(state);
+  Result<bool> GetData(DataChunk &chunk, LocalSourceState &) override {
     idx_t group = next_group_.fetch_add(1, std::memory_order_relaxed);
     if (group >= table_.row_groups_.size()) {
       return false;
@@ -45,13 +46,12 @@ class TableScanSource : public DataSource {
       const auto &ptr = meta.columns[columns_[ci]];
       auto handle = table_.BlockHandleFor(buffer_manager_, ptr.block);
       SSAGG_ASSIGN_OR_RETURN(auto pin, buffer_manager_.Pin(handle));
-      SSAGG_RETURN_NOT_OK(DecompressSegment(pin.Ptr() + ptr.offset, ptr.size,
-                                            table_.schema()[columns_[ci]].type,
-                                            local.decoded));
-      if (local.decoded.count != meta.rows) {
+      idx_t rows;
+      SSAGG_RETURN_NOT_OK(DecodeSegment(pin.Ptr() + ptr.offset, ptr.size,
+                                        chunk.column(ci), &rows));
+      if (rows != meta.rows) {
         return Status::IOError("segment row count mismatch");
       }
-      CopyDecodedRows(local.decoded, 0, meta.rows, chunk.column(ci));
     }
     chunk.SetCount(meta.rows);
     return true;
@@ -67,10 +67,6 @@ class TableScanSource : public DataSource {
   }
 
  private:
-  struct LocalState : public LocalSourceState {
-    DecodedSegment decoded;
-  };
-
   DataTable &table_;
   BufferManager &buffer_manager_;
   std::vector<idx_t> columns_;

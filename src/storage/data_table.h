@@ -23,9 +23,9 @@ namespace ssagg {
 /// the database file) — the interplay Section VII's Figure 4 studies.
 class DataTable {
  public:
-  /// Rows per row group; one segment per column per row group. Matches the
-  /// vectorized scan granularity, so each scanned chunk decompresses each
-  /// column segment exactly once.
+  /// Rows per row group; one segment per column per row group. Equal to the
+  /// vector size, so a scan decodes each column segment once, directly into
+  /// one output vector.
   static constexpr idx_t kRowGroupSize = kVectorSize;
 
   DataTable(FileBlockManager &block_manager, Schema schema);

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,41 +18,59 @@ Codec SegmentCodec(const std::vector<data_t> &segment) {
   return static_cast<Codec>(segment[0]);
 }
 
-/// Compresses `input` rows [0, count), decompresses, and checks that every
-/// value and validity bit round-trips. Returns the codec that was chosen.
-Codec RoundTrip(const Vector &input, idx_t count) {
-  std::vector<data_t> segment;
-  Status status = CompressSegment(input, count, segment);
-  EXPECT_TRUE(status.ok()) << status.ToString();
+/// Copies the first `len` bytes of `bytes` into a buffer of exactly `len`
+/// bytes, so AddressSanitizer flags any read past the end.
+std::unique_ptr<data_t[]> ExactCopy(const std::vector<data_t> &bytes,
+                                    idx_t len) {
+  auto copy = std::make_unique<data_t[]>(len);
+  std::memcpy(copy.get(), bytes.data(), len);
+  return copy;
+}
 
-  DecodedSegment decoded;
-  status = DecompressSegment(segment.data(), segment.size(), input.type(),
-                             decoded);
-  EXPECT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(decoded.count, count);
+/// Decodes a whole segment from an exact-size buffer into `out`.
+Status Decode(const std::vector<data_t> &segment, Vector &out, idx_t *count) {
+  auto exact = ExactCopy(segment, segment.size());
+  return DecodeSegment(exact.get(), segment.size(), out, count);
+}
 
+/// Decodes `segment` and checks that every value and validity bit of rows
+/// [0, count) of `input` round-trips.
+void ExpectDecodesTo(const std::vector<data_t> &segment, const Vector &input,
+                     idx_t count) {
   Vector output(input.type());
-  CopyDecodedRows(decoded, 0, count, output);
+  idx_t decoded = 0;
+  Status status = Decode(segment, output, &decoded);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_EQ(decoded, count);
   for (idx_t i = 0; i < count; i++) {
-    EXPECT_EQ(input.validity().RowIsValid(i), output.validity().RowIsValid(i))
+    ASSERT_EQ(input.validity().RowIsValid(i), output.validity().RowIsValid(i))
         << "validity of row " << i;
     if (!input.validity().RowIsValid(i)) {
       continue;
     }
     if (input.type() == LogicalTypeId::kVarchar) {
-      EXPECT_EQ(input.GetString(i).View(), output.GetString(i).View())
+      ASSERT_EQ(input.GetString(i).View(), output.GetString(i).View())
           << "string row " << i;
     } else if (input.type() == LogicalTypeId::kInt32) {
-      EXPECT_EQ(input.GetValue<int32_t>(i), output.GetValue<int32_t>(i))
+      ASSERT_EQ(input.GetValue<int32_t>(i), output.GetValue<int32_t>(i))
           << "row " << i;
     } else if (input.type() == LogicalTypeId::kDouble) {
-      EXPECT_EQ(input.GetValue<double>(i), output.GetValue<double>(i))
+      ASSERT_EQ(input.GetValue<double>(i), output.GetValue<double>(i))
           << "row " << i;
     } else {
-      EXPECT_EQ(input.GetValue<int64_t>(i), output.GetValue<int64_t>(i))
+      ASSERT_EQ(input.GetValue<int64_t>(i), output.GetValue<int64_t>(i))
           << "row " << i;
     }
   }
+}
+
+/// Compresses `input` rows [0, count), decodes, and checks the round trip.
+/// Returns the codec that was chosen.
+Codec RoundTrip(const Vector &input, idx_t count) {
+  std::vector<data_t> segment;
+  Status status = CompressSegment(input, count, segment);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  ExpectDecodesTo(segment, input, count);
   return SegmentCodec(segment);
 }
 
@@ -236,16 +255,16 @@ TEST(CodecTest, EmptySegmentDecodes) {
   uint32_t zero = 0;
   segment.insert(segment.end(), reinterpret_cast<data_t *>(&zero),
                  reinterpret_cast<data_t *>(&zero) + 4);
-  DecodedSegment decoded;
-  Status status = DecompressSegment(segment.data(), segment.size(),
-                                    LogicalTypeId::kInt64, decoded);
+  Vector out(LogicalTypeId::kInt64);
+  idx_t count = 1;
+  Status status = Decode(segment, out, &count);
   ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(decoded.count, 0u);
+  EXPECT_EQ(count, 0u);
 }
 
 TEST(CodecTest, TruncatedSegmentsReturnCleanErrors) {
-  // Build one segment per codec, then decompress every proper prefix:
-  // each must fail with a Status, never crash or read out of bounds.
+  // Build one segment per codec, then decode every proper prefix: each must
+  // fail with a Status, never crash or read out of bounds.
   std::vector<std::vector<data_t>> segments;
   {
     Vector rle(LogicalTypeId::kInt64);
@@ -273,8 +292,12 @@ TEST(CodecTest, TruncatedSegmentsReturnCleanErrors) {
                              ? LogicalTypeId::kVarchar
                              : LogicalTypeId::kInt64;
     for (idx_t len = 0; len < segment.size(); len++) {
-      DecodedSegment decoded;
-      Status status = DecompressSegment(segment.data(), len, type, decoded);
+      // Each prefix lives in its own exact-size buffer: a read past `len`
+      // is a heap overflow under AddressSanitizer, not a silent success.
+      auto prefix = ExactCopy(segment, len);
+      Vector out(type);
+      idx_t count = 0;
+      Status status = DecodeSegment(prefix.get(), len, out, &count);
       EXPECT_FALSE(status.ok())
           << CodecName(SegmentCodec(segment)) << " prefix of " << len
           << " bytes decoded successfully";
@@ -290,33 +313,221 @@ TEST(CodecTest, UnknownCodecByteIsRejected) {
                  reinterpret_cast<data_t *>(&count) + 4);
   segment.push_back(0x01);  // validity
   segment.resize(segment.size() + 8, 0);
-  DecodedSegment decoded;
-  EXPECT_FALSE(DecompressSegment(segment.data(), segment.size(),
-                                 LogicalTypeId::kInt64, decoded)
-                   .ok());
+  Vector out(LogicalTypeId::kInt64);
+  idx_t decoded = 0;
+  EXPECT_FALSE(Decode(segment, out, &decoded).ok());
 }
 
-TEST(CodecTest, CopyDecodedRowsHonorsOffset) {
-  Vector input(LogicalTypeId::kInt64);
-  for (idx_t i = 0; i < 1024; i++) {
-    input.SetValue<int64_t>(i, static_cast<int64_t>(i * 10));
-    if (i % 4 == 0) {
-      input.validity().SetInvalid(i);
+//===----------------------------------------------------------------------===//
+// Crafted corrupt segments
+//===----------------------------------------------------------------------===//
+
+/// Segment header: codec byte, row count and an all-valid bitmap.
+std::vector<data_t> SegmentHeader(Codec codec, uint32_t count) {
+  std::vector<data_t> segment;
+  segment.push_back(static_cast<data_t>(codec));
+  segment.insert(segment.end(), reinterpret_cast<data_t *>(&count),
+                 reinterpret_cast<data_t *>(&count) + 4);
+  segment.resize(segment.size() + (count + 7) / 8, 0xFF);
+  return segment;
+}
+
+template <typename T>
+void Append(std::vector<data_t> &segment, T value) {
+  auto *bytes = reinterpret_cast<const data_t *>(&value);
+  segment.insert(segment.end(), bytes, bytes + sizeof(T));
+}
+
+Status DecodeAs(LogicalTypeId type, const std::vector<data_t> &segment) {
+  Vector out(type);
+  idx_t count = 0;
+  return Decode(segment, out, &count);
+}
+
+TEST(CodecTest, TruncatedBitpackHeaderIsRejected) {
+  // The 9-byte frame header (min value, bit width) is cut short: only 3 of
+  // its bytes are present.
+  auto segment = SegmentHeader(Codec::kForBitpack, 16);
+  segment.resize(segment.size() + 3, 0);
+  EXPECT_FALSE(DecodeAs(LogicalTypeId::kInt64, segment).ok());
+}
+
+TEST(CodecTest, TruncatedRleRunCountIsRejected) {
+  // Two of the four run-count bytes are present.
+  auto segment = SegmentHeader(Codec::kRle, 16);
+  segment.resize(segment.size() + 2, 0);
+  EXPECT_FALSE(DecodeAs(LogicalTypeId::kInt32, segment).ok());
+}
+
+TEST(CodecTest, BitWidthAbove64IsRejected) {
+  for (uint8_t bits : {uint8_t(65), uint8_t(128), uint8_t(255)}) {
+    auto segment = SegmentHeader(Codec::kForBitpack, 8);
+    Append<int64_t>(segment, 0);
+    segment.push_back(bits);
+    segment.resize(segment.size() + 8 * 32, 0xAB);  // ample payload
+    EXPECT_FALSE(DecodeAs(LogicalTypeId::kInt64, segment).ok())
+        << "bits=" << int(bits);
+  }
+}
+
+TEST(CodecTest, StringOffsetsOutsideCharsAreRejected) {
+  // Offsets {0, 4, 2} run backwards (begin > finish); offsets {0, 9, 4} put
+  // the first string past the 4 bytes of character data (finish > total).
+  for (auto middle : {uint32_t(4), uint32_t(9)}) {
+    uint32_t total = middle == 4 ? 2 : 4;
+    auto segment = SegmentHeader(Codec::kStringPlain, 2);
+    Append<uint32_t>(segment, 0);
+    Append<uint32_t>(segment, middle);
+    Append<uint32_t>(segment, total);
+    segment.resize(segment.size() + total, 'x');
+    EXPECT_FALSE(DecodeAs(LogicalTypeId::kVarchar, segment).ok())
+        << "middle offset " << middle;
+  }
+}
+
+TEST(CodecTest, RowCountAboveVectorSizeIsRejected) {
+  // A well-formed plain segment one row larger than a vector holds.
+  auto count = static_cast<uint32_t>(kVectorSize + 1);
+  auto segment = SegmentHeader(Codec::kPlain, count);
+  segment.resize(segment.size() + count * sizeof(int64_t), 0);
+  EXPECT_FALSE(DecodeAs(LogicalTypeId::kInt64, segment).ok());
+}
+
+TEST(CodecTest, CodecNotMatchingColumnTypeIsRejected) {
+  // String segments only decode into VARCHAR vectors, integer codecs only
+  // into integer vectors, and VARCHAR vectors take no plain values.
+  Vector strings(LogicalTypeId::kVarchar);
+  Vector integers(LogicalTypeId::kInt64);
+  for (idx_t i = 0; i < 64; i++) {
+    strings.SetString(i, "value number " + std::to_string(i));
+    integers.SetValue<int64_t>(i, static_cast<int64_t>(i));
+  }
+  std::vector<data_t> string_segment;
+  std::vector<data_t> int_segment;
+  ASSERT_TRUE(CompressSegment(strings, 64, string_segment).ok());
+  ASSERT_TRUE(CompressSegment(integers, 64, int_segment).ok());
+  ASSERT_EQ(SegmentCodec(int_segment), Codec::kForBitpack);
+  EXPECT_FALSE(DecodeAs(LogicalTypeId::kInt64, string_segment).ok());
+  EXPECT_FALSE(DecodeAs(LogicalTypeId::kDouble, int_segment).ok());
+  EXPECT_FALSE(DecodeAs(LogicalTypeId::kVarchar, int_segment).ok());
+  auto plain = SegmentHeader(Codec::kPlain, 4);
+  plain.resize(plain.size() + 4 * 16, 0);
+  EXPECT_FALSE(DecodeAs(LogicalTypeId::kVarchar, plain).ok());
+}
+
+//===----------------------------------------------------------------------===//
+// Byte-exactness of the FoR bit stream
+//===----------------------------------------------------------------------===//
+
+/// Bit-at-a-time reference for the FoR payload: the `bits` low bits of each
+/// delta, LSB-first, zero-padded to whole bytes. This is the format every
+/// stored segment and spilled word-FoR frame uses.
+std::vector<data_t> ReferencePack(const std::vector<uint64_t> &deltas,
+                                  idx_t bits) {
+  std::vector<data_t> out((deltas.size() * bits + 7) / 8, 0);
+  for (idx_t i = 0; i < deltas.size(); i++) {
+    for (idx_t b = 0; b < bits; b++) {
+      idx_t pos = i * bits + b;
+      if ((deltas[i] >> b) & 1) {
+        out[pos >> 3] |= static_cast<data_t>(1 << (pos & 7));
+      }
     }
   }
-  std::vector<data_t> segment;
-  ASSERT_TRUE(CompressSegment(input, 1024, segment).ok());
-  DecodedSegment decoded;
-  ASSERT_TRUE(DecompressSegment(segment.data(), segment.size(),
-                                LogicalTypeId::kInt64, decoded)
-                  .ok());
-  Vector out(LogicalTypeId::kInt64);
-  CopyDecodedRows(decoded, 100, 50, out);
-  for (idx_t i = 0; i < 50; i++) {
-    idx_t row = 100 + i;
-    ASSERT_EQ(out.validity().RowIsValid(i), row % 4 != 0);
-    if (row % 4 != 0) {
-      EXPECT_EQ(out.GetValue<int64_t>(i), static_cast<int64_t>(row * 10));
+  return out;
+}
+
+/// The bit-at-a-time counterpart: value `index` of a reference bit stream.
+uint64_t ReferenceUnpack(const std::vector<data_t> &packed, idx_t index,
+                         idx_t bits) {
+  uint64_t value = 0;
+  for (idx_t b = 0; b < bits; b++) {
+    idx_t pos = index * bits + b;
+    value |= uint64_t((packed[pos >> 3] >> (pos & 7)) & 1) << b;
+  }
+  return value;
+}
+
+TEST(CodecTest, BitpackMatchesBitAtATimeReference) {
+  // Every width 0..64 at counts around byte, word and vector boundaries and
+  // at three NULL densities:
+  //  - CompressSegment's FoR payload must equal the reference bit stream.
+  //    Values span [0, 2^bits), so NULL rows (stored as 0) keep the frame.
+  //    CompressSegment stores plain only where FoR cannot be smaller.
+  //  - A FoR segment assembled with the reference packer (the layout of
+  //    tables written by earlier versions) must decode to its values, at
+  //    every width, including those CompressSegment stores plain.
+  const idx_t counts[] = {1, 7, 8, 9, 63, 64, 65, 1000, 2047, 2048};
+  const double null_densities[] = {0.0, 0.1, 1.0};
+  const int64_t crafted_base = -123456789;
+  RandomEngine rng(0xB175);
+  for (idx_t bits = 0; bits <= 64; bits++) {
+    const uint64_t max_delta =
+        bits == 64 ? ~uint64_t(0) : (uint64_t(1) << bits) - 1;
+    for (idx_t count : counts) {
+      for (double density : null_densities) {
+        SCOPED_TRACE("bits=" + std::to_string(bits) + " count=" +
+                     std::to_string(count) + " nulls=" +
+                     std::to_string(density));
+        // Row 0 pins the frame at 0 and the last row at max_delta, unless
+        // every row is NULL.
+        Vector input(LogicalTypeId::kInt64);
+        Vector crafted_values(LogicalTypeId::kInt64);
+        std::vector<uint64_t> deltas(count);
+        for (idx_t i = 0; i < count; i++) {
+          bool pinned = i == 0 || i == count - 1;
+          bool null = density >= 1.0 ||
+                      (density > 0 && !pinned && rng.NextUint64() % 10 == 0);
+          uint64_t delta = rng.NextUint64() & max_delta;
+          if (null || i == 0) {
+            delta = 0;
+          } else if (i == count - 1) {
+            delta = max_delta;
+          }
+          deltas[i] = delta;
+          input.SetValue<int64_t>(i, static_cast<int64_t>(delta));
+          crafted_values.SetValue<int64_t>(
+              i, static_cast<int64_t>(static_cast<uint64_t>(crafted_base) +
+                                      delta));
+          if (null) {
+            input.validity().SetInvalid(i);
+            crafted_values.validity().SetInvalid(i);
+          }
+        }
+        idx_t frame_bits = density >= 1.0 || count == 1 ? 0 : bits;
+        std::vector<data_t> reference = ReferencePack(deltas, frame_bits);
+        for (idx_t i = 0; i < count; i++) {
+          ASSERT_EQ(ReferenceUnpack(reference, i, frame_bits), deltas[i]);
+        }
+
+        std::vector<data_t> compressed;
+        ASSERT_TRUE(CompressSegment(input, count, compressed).ok());
+        const idx_t header = 1 + 4 + (count + 7) / 8;
+        if (bits == 64) {
+          // Values past INT64_MAX read as negative, so CompressSegment's
+          // signed frame differs from [0, 2^64); only the round trip holds.
+        } else if (SegmentCodec(compressed) == Codec::kForBitpack) {
+          int64_t min_v;
+          std::memcpy(&min_v, compressed.data() + header, 8);
+          EXPECT_EQ(min_v, 0);
+          ASSERT_EQ(compressed[header + 8], frame_bits);
+          ASSERT_EQ(std::vector<data_t>(compressed.begin() + header + 9,
+                                        compressed.end()),
+                    reference);
+        } else {
+          // Only a frame too wide to beat plain storage may skip FoR.
+          EXPECT_EQ(SegmentCodec(compressed), Codec::kPlain);
+          EXPECT_GE(9 + (count * frame_bits + 7) / 8, count * 8);
+        }
+        ExpectDecodesTo(compressed, input, count);
+
+        std::vector<data_t> crafted(compressed.begin(),
+                                    compressed.begin() + header);
+        crafted[0] = static_cast<data_t>(Codec::kForBitpack);
+        Append<int64_t>(crafted, crafted_base);
+        crafted.push_back(static_cast<data_t>(frame_bits));
+        crafted.insert(crafted.end(), reference.begin(), reference.end());
+        ExpectDecodesTo(crafted, crafted_values, count);
+      }
     }
   }
 }
@@ -451,6 +662,60 @@ TEST(SpillFrameTest, OversizedCompLenIsCleanError) {
   std::vector<data_t> out(4096);
   EXPECT_FALSE(
       DecompressSpillFrame(frame.data(), frame.size(), out.data(), 4096).ok());
+}
+
+TEST(SpillFrameTest, WordForMatchesReferenceAtEveryWidth) {
+  // 1500 words: one full 1024-word block and a 476-word tail block, each
+  // stored as min (8 bytes), bit width (1 byte) and the reference bit stream
+  // of its deltas. Narrow frames compress better under LZ; from 32 bits up
+  // LZ finds too little and word-FoR must win.
+  constexpr idx_t kWords = 1500;
+  constexpr idx_t kBlockWords = 1024;
+  for (idx_t bits = 1; bits < 64; bits++) {
+    SCOPED_TRACE("bits=" + std::to_string(bits));
+    const uint64_t max_delta = (uint64_t(1) << bits) - 1;
+    RandomEngine rng(bits);
+    std::vector<uint64_t> words(kWords);
+    for (idx_t i = 0; i < kWords; i++) {
+      words[i] = 1000 + (i % kBlockWords == 0   ? 0
+                         : i % kBlockWords == 1 ? max_delta
+                                                : rng.NextUint64() & max_delta);
+    }
+    std::vector<data_t> expected;
+    for (idx_t start = 0; start < kWords; start += kBlockWords) {
+      idx_t n = std::min(kBlockWords, kWords - start);
+      std::vector<uint64_t> deltas(n);
+      for (idx_t i = 0; i < n; i++) {
+        deltas[i] = words[start + i] - 1000;
+      }
+      Append<uint64_t>(expected, 1000);
+      expected.push_back(static_cast<data_t>(bits));
+      auto packed = ReferencePack(deltas, bits);
+      expected.insert(expected.end(), packed.begin(), packed.end());
+    }
+
+    const idx_t size = kWords * 8;
+    std::vector<data_t> frame;
+    CompressSpillFrame(reinterpret_cast<const data_t *>(words.data()), size,
+                       frame);
+    SpillFrameHeader header;
+    ASSERT_TRUE(PeekSpillFrame(frame.data(), frame.size(), header).ok());
+    if (bits >= 32) {
+      ASSERT_EQ(header.codec, SpillCodec::kWordFor);
+    }
+    if (header.codec == SpillCodec::kWordFor) {
+      ASSERT_EQ(std::vector<data_t>(frame.begin() + SpillFrameHeader::kSize,
+                                    frame.end()),
+                expected);
+    }
+    auto exact = ExactCopy(frame, frame.size());
+    std::vector<uint64_t> out(kWords);
+    ASSERT_TRUE(DecompressSpillFrame(exact.get(), frame.size(),
+                                     reinterpret_cast<data_t *>(out.data()),
+                                     size)
+                    .ok());
+    ASSERT_EQ(out, words);
+  }
 }
 
 TEST(SpillFrameTest, BadMagicIsCleanError) {

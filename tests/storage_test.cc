@@ -36,13 +36,10 @@ TEST_F(StorageTest, CodecRoundTripPlainDoubles) {
   v.validity().SetInvalid(7);
   std::vector<data_t> bytes;
   ASSERT_TRUE(CompressSegment(v, 100, bytes).ok());
-  DecodedSegment decoded;
-  ASSERT_TRUE(DecompressSegment(bytes.data(), bytes.size(),
-                                LogicalTypeId::kDouble, decoded)
-                  .ok());
-  ASSERT_EQ(decoded.count, 100u);
   Vector out(LogicalTypeId::kDouble);
-  CopyDecodedRows(decoded, 0, 100, out);
+  idx_t count = 0;
+  ASSERT_TRUE(DecodeSegment(bytes.data(), bytes.size(), out, &count).ok());
+  ASSERT_EQ(count, 100u);
   for (idx_t i = 0; i < 100; i++) {
     if (i == 7) {
       EXPECT_FALSE(out.validity().RowIsValid(i));
@@ -62,12 +59,10 @@ TEST_F(StorageTest, CodecPicksBitpackForSmallRangeIntegers) {
   EXPECT_EQ(static_cast<Codec>(bytes[0]), Codec::kForBitpack);
   // 4 bits per value instead of 64.
   EXPECT_LT(bytes.size(), 2048 * 2);
-  DecodedSegment decoded;
-  ASSERT_TRUE(DecompressSegment(bytes.data(), bytes.size(),
-                                LogicalTypeId::kInt64, decoded)
-                  .ok());
   Vector out(LogicalTypeId::kInt64);
-  CopyDecodedRows(decoded, 0, 2048, out);
+  idx_t count = 0;
+  ASSERT_TRUE(DecodeSegment(bytes.data(), bytes.size(), out, &count).ok());
+  ASSERT_EQ(count, 2048u);
   for (idx_t i = 0; i < 2048; i++) {
     ASSERT_EQ(out.GetValue<int64_t>(i),
               1000000 + static_cast<int64_t>(i % 16));
@@ -83,12 +78,10 @@ TEST_F(StorageTest, CodecPicksRleForRuns) {
   ASSERT_TRUE(CompressSegment(v, 2048, bytes).ok());
   EXPECT_EQ(static_cast<Codec>(bytes[0]), Codec::kRle);
   EXPECT_LT(bytes.size(), 300u);
-  DecodedSegment decoded;
-  ASSERT_TRUE(DecompressSegment(bytes.data(), bytes.size(),
-                                LogicalTypeId::kInt32, decoded)
-                  .ok());
   Vector out(LogicalTypeId::kInt32);
-  CopyDecodedRows(decoded, 0, 2048, out);
+  idx_t count = 0;
+  ASSERT_TRUE(DecodeSegment(bytes.data(), bytes.size(), out, &count).ok());
+  ASSERT_EQ(count, 2048u);
   for (idx_t i = 0; i < 2048; i++) {
     ASSERT_EQ(out.GetValue<int32_t>(i), static_cast<int32_t>(i / 512) * 7919);
   }
@@ -104,12 +97,10 @@ TEST_F(StorageTest, CodecRoundTripStrings) {
   std::vector<data_t> bytes;
   ASSERT_TRUE(CompressSegment(v, 500, bytes).ok());
   EXPECT_EQ(static_cast<Codec>(bytes[0]), Codec::kStringPlain);
-  DecodedSegment decoded;
-  ASSERT_TRUE(DecompressSegment(bytes.data(), bytes.size(),
-                                LogicalTypeId::kVarchar, decoded)
-                  .ok());
   Vector out(LogicalTypeId::kVarchar);
-  CopyDecodedRows(decoded, 0, 500, out);
+  idx_t count = 0;
+  ASSERT_TRUE(DecodeSegment(bytes.data(), bytes.size(), out, &count).ok());
+  ASSERT_EQ(count, 500u);
   for (idx_t i = 0; i < 500; i++) {
     if (i == 3) {
       EXPECT_FALSE(out.validity().RowIsValid(i));
@@ -118,24 +109,6 @@ TEST_F(StorageTest, CodecRoundTripStrings) {
     std::string expected = i % 5 == 0 ? "x" : "a longer string value #" +
                                                   std::to_string(i);
     ASSERT_EQ(out.GetString(i).ToString(), expected);
-  }
-}
-
-TEST_F(StorageTest, CodecPartialCopy) {
-  Vector v(LogicalTypeId::kInt64);
-  for (idx_t i = 0; i < 2048; i++) {
-    v.SetValue<int64_t>(i, static_cast<int64_t>(i));
-  }
-  std::vector<data_t> bytes;
-  ASSERT_TRUE(CompressSegment(v, 2048, bytes).ok());
-  DecodedSegment decoded;
-  ASSERT_TRUE(DecompressSegment(bytes.data(), bytes.size(),
-                                LogicalTypeId::kInt64, decoded)
-                  .ok());
-  Vector out(LogicalTypeId::kInt64);
-  CopyDecodedRows(decoded, 1000, 48, out);
-  for (idx_t i = 0; i < 48; i++) {
-    EXPECT_EQ(out.GetValue<int64_t>(i), static_cast<int64_t>(1000 + i));
   }
 }
 
@@ -230,6 +203,113 @@ TEST_F(StorageTest, ScanWithTinyPoolEvictsPersistentPagesForFree) {
   }
   auto snap = bm.Snapshot();
   EXPECT_GT(snap.evicted_persistent_count, 0u);
+}
+
+TEST_F(StorageTest, ScanPreservesNullsAcrossRowGroupsAndEvictions) {
+  // Six row groups with different NULL shapes, scanned in order through a
+  // two-page pool so blocks are evicted and re-pinned between and during
+  // scans. The chunk is never reset between GetData calls: validity and
+  // strings of one row group must not leak into the next.
+  enum class Nulls { kNone, kAll, kMixed };
+  const Nulls shapes[] = {Nulls::kNone,  Nulls::kAll,   Nulls::kMixed,
+                          Nulls::kNone,  Nulls::kMixed, Nulls::kNone};
+  constexpr idx_t kGroups = 6;
+  constexpr idx_t kLastGroupRows = 1000;  // a partial final row group
+  const std::vector<LogicalTypeId> types = {
+      LogicalTypeId::kInt32, LogicalTypeId::kInt64, LogicalTypeId::kDate,
+      LogicalTypeId::kDouble, LogicalTypeId::kVarchar};
+  auto is_null = [&](idx_t row, idx_t column) {
+    switch (shapes[row / kVectorSize]) {
+      case Nulls::kNone:
+        return false;
+      case Nulls::kAll:
+        return true;
+      case Nulls::kMixed:
+        return (row + column) % 3 == 0;
+    }
+    return false;
+  };
+  auto i32 = [](idx_t row) { return static_cast<int32_t>(row * 7) - 5000; };
+  auto i64 = [](idx_t row) { return static_cast<int64_t>(row) << 40; };
+  auto date = [](idx_t row) { return 9000 + static_cast<int32_t>(row / 500); };
+  auto dbl = [](idx_t row) { return static_cast<double>(row) * 0.25; };
+  auto text = [](idx_t row) {
+    return row % 4 == 0 ? std::to_string(row % 100) + "s"
+                        : "a string too long to inline, long enough to spread "
+                          "the table over more blocks than the pool holds #" +
+                              std::to_string(row);
+  };
+
+  auto block_mgr =
+      FileBlockManager::Create(temp_dir_ + "/nulls.db").MoveValue();
+  BufferManager bm(temp_dir_, 2 * kPageSize);
+  DataTable table(*block_mgr, {{"i32", types[0]},
+                               {"i64", types[1]},
+                               {"date", types[2]},
+                               {"dbl", types[3]},
+                               {"str", types[4]}});
+  const idx_t rows = (kGroups - 1) * kVectorSize + kLastGroupRows;
+  DataChunk chunk(types);
+  for (idx_t start = 0; start < rows; start += kVectorSize) {
+    idx_t n = std::min(kVectorSize, rows - start);
+    for (idx_t i = 0; i < n; i++) {
+      idx_t row = start + i;
+      chunk.column(0).SetValue<int32_t>(i, i32(row));
+      chunk.column(1).SetValue<int64_t>(i, i64(row));
+      chunk.column(2).SetValue<int32_t>(i, date(row));
+      chunk.column(3).SetValue<double>(i, dbl(row));
+      chunk.column(4).SetString(i, text(row));
+      for (idx_t c = 0; c < types.size(); c++) {
+        if (is_null(row, c)) {
+          chunk.column(c).validity().SetInvalid(i);
+        }
+      }
+    }
+    chunk.SetCount(n);
+    ASSERT_TRUE(table.Append(chunk).ok());
+    chunk.Reset();
+  }
+  ASSERT_TRUE(table.FinalizeAppend().ok());
+  ASSERT_GT(table.BlockCount(), 2u);  // more blocks than the pool holds
+
+  for (int round = 0; round < 2; round++) {
+    auto source = table.MakeScanSource(bm, {0, 1, 2, 3, 4});
+    auto local = source->InitLocal();
+    ASSERT_TRUE(local.ok());
+    DataChunk out(types);
+    idx_t row = 0;
+    while (true) {
+      auto more = source->GetData(out, *local.value());
+      ASSERT_TRUE(more.ok()) << more.status().ToString();
+      if (!more.value()) {
+        break;
+      }
+      ASSERT_EQ(out.size(), std::min(kVectorSize, rows - row));
+      for (idx_t i = 0; i < out.size(); i++, row++) {
+        for (idx_t c = 0; c < types.size(); c++) {
+          ASSERT_EQ(out.column(c).validity().RowIsValid(i), !is_null(row, c))
+              << "row " << row << " column " << c;
+        }
+        if (!is_null(row, 0)) {
+          ASSERT_EQ(out.column(0).GetValue<int32_t>(i), i32(row));
+        }
+        if (!is_null(row, 1)) {
+          ASSERT_EQ(out.column(1).GetValue<int64_t>(i), i64(row));
+        }
+        if (!is_null(row, 2)) {
+          ASSERT_EQ(out.column(2).GetValue<int32_t>(i), date(row));
+        }
+        if (!is_null(row, 3)) {
+          ASSERT_EQ(out.column(3).GetValue<double>(i), dbl(row));
+        }
+        if (!is_null(row, 4)) {
+          ASSERT_EQ(out.column(4).GetString(i).View(), text(row));
+        }
+      }
+    }
+    ASSERT_EQ(row, rows);
+  }
+  EXPECT_GT(bm.Snapshot().evicted_persistent_count, 0u);
 }
 
 TEST_F(StorageTest, LineitemThroughStorageMatchesGenerator) {
