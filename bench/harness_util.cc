@@ -135,6 +135,9 @@ Json QueryResult::ToJson() const {
   Json object = Json::Object();
   object.Set("seconds", Json(seconds));
   object.Set("tag", Json(std::string(1, tag)));
+  if (tag != ' ') {
+    object.Set("error", Json(error));
+  }
   object.Set("result_rows", Json(static_cast<uint64_t>(result_rows)));
   if (skipped) {
     object.Set("skipped", Json(true));
@@ -242,6 +245,9 @@ QueryResult RunOnce(SystemKind system, const tpch::LineitemGenerator &gen,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   result.tag = TagFromStatus(status);
+  if (!status.ok()) {
+    result.error = status.ToString();
+  }
   result.result_rows = collector.TotalRows();
   result.snapshot = bm.Snapshot();
   if (delta.has_value()) {

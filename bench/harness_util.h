@@ -61,6 +61,7 @@ const std::vector<SystemKind> &AllSystems();
 struct QueryResult {
   double seconds = 0;
   char tag = ' ';  // ' ' ok, 'A' aborted, 'T' timed out, 'E' other error
+  std::string error;  // the failed query's Status text; empty when ok
   idx_t result_rows = 0;
   bool skipped = false;  // propagated failure from a smaller scale factor
   BufferManagerSnapshot snapshot;
@@ -71,7 +72,8 @@ struct QueryResult {
   bool ok() const { return tag == ' ' && !skipped; }
   /// "0.42" / "A" / "T" — the paper's table cell format.
   std::string Cell() const;
-  /// {"seconds", "tag", "result_rows", "snapshot", "profile"}.
+  /// {"seconds", "tag", "error" (failed queries only), "result_rows",
+  /// "snapshot", "profile"}.
   Json ToJson() const;
 };
 

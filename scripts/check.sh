@@ -6,7 +6,9 @@
 #
 # The plain build additionally runs a profile smoke step: a memory-limited
 # (spilling) query with SSAGG_TRACE on, asserting that the emitted profile
-# saw real spill I/O and that the trace's spans are balanced per thread.
+# saw real spill I/O, that the trace's spans are balanced per thread, that
+# the trace dropped and repeated no event, and that it carries the
+# planner's decision.
 #
 # The sanitizer build additionally re-runs the fault-injection sweeps on
 # their own: every injected I/O and allocation failure unwinds under
@@ -86,6 +88,15 @@ with open(trace_path) as f:
     trace = json.load(f)
 events = trace["traceEvents"]
 assert events, "trace is empty"
+# The file is a drain of the flight-recorder rings: nothing overwritten
+# before a flush, and no event written by two flushes.
+assert trace["droppedEvents"] == 0, f"trace dropped {trace['droppedEvents']}"
+keys = collections.Counter(
+    (e["tid"], e["ts"], e["name"], e.get("dur")) for e in events)
+repeated = [key for key, count in keys.items() if count > 1]
+assert not repeated, f"events drained twice: {repeated[:5]}"
+assert any(e["name"] == "planner.strategy" and e["ph"] == "i"
+           for e in events), "trace lacks the planner.strategy instant"
 # Complete events (ph == "X") must be balanced: per thread, spans are
 # laminar — any two either nest or are disjoint (no partial overlap).
 by_tid = collections.defaultdict(list)

@@ -8,7 +8,7 @@
 #include "buffer/memory_grant.h"
 #include "common/constants.h"
 #include "compression/codec.h"
-#include "observe/trace.h"
+#include "observe/flight_recorder.h"
 #include "testing/fault_injector.h"
 
 namespace ssagg {

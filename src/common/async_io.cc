@@ -8,8 +8,8 @@
 #include <thread>
 #include <vector>
 
+#include "observe/flight_recorder.h"
 #include "observe/metrics.h"
-#include "observe/trace.h"
 #include "testing/fault_injector.h"
 
 #if defined(__linux__) && __has_include(<linux/io_uring.h>)

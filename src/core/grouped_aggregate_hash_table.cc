@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "observe/trace.h"
+#include "observe/flight_recorder.h"
 
 namespace ssagg {
 
@@ -442,7 +442,7 @@ void GroupedAggregateHashTable::Stats::Merge(const Stats &other) {
 }
 
 void GroupedAggregateHashTable::ClearPointerTable() {
-  TraceRecorder::Global().EmitInstant("ht.reset", "agg", count_);
+  TraceInstant("ht.reset", "agg", count_);
   std::memset(entries_alloc_.data(), 0, capacity_ * 8);
   count_ = 0;
   stats_.resets++;

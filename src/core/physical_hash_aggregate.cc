@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "observe/flight_recorder.h"
 #include "observe/metrics.h"
-#include "observe/trace.h"
 
 namespace ssagg {
 

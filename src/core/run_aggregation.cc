@@ -5,7 +5,6 @@
 
 #include "buffer/memory_grant.h"
 #include "observe/flight_recorder.h"
-#include "observe/trace.h"
 
 namespace ssagg {
 
@@ -123,9 +122,7 @@ Result<HashAggregateStats> RunGroupedAggregation(
     // Black-box dump: preserve the last trace events leading up to the
     // failure (no-op unless SSAGG_FLIGHT_DUMP is configured).
     (void)FlightRecorder::Global().DumpAnomaly("query_error");
-    if (TraceRecorder::Global().enabled()) {
-      (void)TraceRecorder::Global().Flush();
-    }
+    (void)FlightRecorder::Global().FlushTrace();
     return status;
   }
   HashAggregateStats stats = agg->stats();
@@ -160,10 +157,9 @@ Result<HashAggregateStats> RunGroupedAggregation(
   if (progress != nullptr) {
     progress->Finish(/*ok=*/true);
   }
-  // Make partial traces useful: persist what we have after every query.
-  if (TraceRecorder::Global().enabled()) {
-    (void)TraceRecorder::Global().Flush();
-  }
+  // Make partial traces useful: drain the query's events into the trace
+  // file (no-op unless SSAGG_TRACE is set).
+  (void)FlightRecorder::Global().FlushTrace();
   return stats;
 }
 

@@ -22,8 +22,8 @@ namespace ssagg {
 /// snapshot: phase timings, operator counters ("agg.*"), executor counters
 /// and timings ("exec.*"), the growth the query caused in the global
 /// metrics registry ("bm.*", "io.*", ...), and per-query latency
-/// histograms. If SSAGG_TRACE is set, the trace file is flushed after the
-/// query.
+/// histograms. If SSAGG_TRACE is set, the events recorded since the last
+/// flush are drained into the trace file after the query, failed or not.
 ///
 /// When `progress` is non-null it is armed before execution and fed live:
 /// another thread may Poll() it at any point for phase, rows consumed, the

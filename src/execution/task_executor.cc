@@ -4,8 +4,8 @@
 #include <atomic>
 
 #include "buffer/memory_grant.h"
+#include "observe/flight_recorder.h"
 #include "observe/metrics.h"
-#include "observe/trace.h"
 
 namespace ssagg {
 

@@ -5,8 +5,8 @@
 #include <queue>
 
 #include "common/string_heap.h"
+#include "observe/flight_recorder.h"
 #include "observe/metrics.h"
-#include "observe/trace.h"
 #include "sort/row_compare.h"
 
 namespace ssagg {

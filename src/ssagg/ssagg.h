@@ -44,7 +44,6 @@
 #include "observe/metrics.h"
 #include "observe/profile.h"
 #include "observe/progress.h"
-#include "observe/trace.h"
 #include "service/query_service.h"
 #include "sort/external_sort_aggregate.h"
 #include "storage/data_table.h"

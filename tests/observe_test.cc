@@ -1,5 +1,6 @@
 // Tests for the observability subsystem: metrics-registry exactness under
-// concurrency, JSON round trips, trace-event well-formedness, and the
+// concurrency, JSON round trips, the trace file drained from the flight
+// recorder (well-formed, incremental, drops counted), and the
 // QueryProfile counters of a spilling aggregation against the
 // temporary-file manager's ground truth.
 
@@ -9,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -27,7 +29,6 @@
 #include "observe/metrics.h"
 #include "observe/profile.h"
 #include "observe/progress.h"
-#include "observe/trace.h"
 
 namespace ssagg {
 namespace {
@@ -239,16 +240,42 @@ void CheckLaminarNesting(const std::vector<SpanEvent> &spans) {
   }
 }
 
-TEST(TraceRecorderTest, RoundTripsWithWellFormedNesting) {
-  TraceRecorder &recorder = TraceRecorder::Global();
-  recorder.Clear();
-  recorder.Enable("");  // buffer only
+/// The trace file at `path`, parsed; fails the test unless it is one valid
+/// Chrome-trace document.
+Json ReadTraceFile(const std::string &path) {
+  auto contents = ReadWholeFile(path);
+  EXPECT_TRUE(contents.ok()) << contents.status().ToString();
+  if (!contents.ok()) {
+    return Json();
+  }
+  auto parsed = Json::Parse(contents.value());
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  if (!parsed.ok()) {
+    return Json();
+  }
+  const Json *events = parsed.value().Find("traceEvents");
+  EXPECT_TRUE(events != nullptr && events->IsArray());
+  EXPECT_TRUE(parsed.value().Find("displayTimeUnit") != nullptr);
+  EXPECT_TRUE(parsed.value().Find("droppedEvents") != nullptr);
+  return parsed.value();
+}
+
+std::string TempTracePath(const char *name) {
+  return ::testing::TempDir() + name + "_" + std::to_string(::getpid()) +
+         ".json";
+}
+
+TEST(TraceDrainTest, RoundTripsWithWellFormedNesting) {
+  FlightRecorder &recorder = FlightRecorder::Global();
+  std::string saved_path = recorder.trace_path();
+  std::string path = TempTracePath("ssagg_trace_nesting");
+  recorder.SetTracePath(path);
 
   {
     TraceSpan outer("outer", "test", 1);
     {
       TraceSpan inner("inner", "test");
-      recorder.EmitInstant("tick", "test", 7);
+      TraceInstant("tick", "test", 7);
     }
     TraceSpan sibling("sibling", "test");
   }
@@ -257,21 +284,19 @@ TEST(TraceRecorderTest, RoundTripsWithWellFormedNesting) {
     TraceSpan inner("thread_inner", "test");
   });
   worker.join();
-  recorder.EmitCounter("cnt", 42);
-  recorder.Disable();
-  ASSERT_GE(recorder.EventCount(), 6u);
+  Status flushed = recorder.FlushTrace();
+  recorder.SetTracePath(saved_path);
+  ASSERT_TRUE(flushed.ok()) << flushed.ToString();
 
-  // Round trip: everything the recorder dumps must parse back.
-  auto parsed = Json::Parse(recorder.ToJson().Dump(1));
-  recorder.Clear();
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const Json *events = parsed.value().Find("traceEvents");
-  ASSERT_TRUE(events != nullptr && events->IsArray());
+  // Round trip: everything the drain writes must parse back.
+  Json doc = ReadTraceFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(doc.Find("traceEvents") != nullptr);
+  EXPECT_EQ(doc.Find("droppedEvents")->AsUint(), 0u);
 
   std::vector<SpanEvent> spans;
-  bool saw_instant = false;
-  bool saw_counter = false;
-  for (const Json &event : events->elements()) {
+  idx_t instants = 0;
+  for (const Json &event : doc.Find("traceEvents")->elements()) {
     // Chrome-trace required fields.
     ASSERT_TRUE(event.Find("name") != nullptr);
     ASSERT_TRUE(event.Find("ph") != nullptr);
@@ -285,18 +310,15 @@ TEST(TraceRecorderTest, RoundTripsWithWellFormedNesting) {
       uint64_t ts = event.Find("ts")->AsUint();
       spans.push_back(
           {event.Find("tid")->AsUint(), ts, ts + dur->AsUint()});
-    } else if (phase == "i") {
-      saw_instant = true;
+    } else {
+      ASSERT_EQ(phase, "i");
+      instants++;
       EXPECT_EQ(event.Find("s")->AsString(), "t");
       EXPECT_EQ(event.Find("args")->Find("v")->AsUint(), 7u);
-    } else if (phase == "C") {
-      saw_counter = true;
-      EXPECT_EQ(event.Find("args")->Find("value")->AsUint(), 42u);
     }
   }
   EXPECT_EQ(spans.size(), 5u);
-  EXPECT_TRUE(saw_instant);
-  EXPECT_TRUE(saw_counter);
+  EXPECT_EQ(instants, 1u);
   CheckLaminarNesting(spans);
 
   // The two spans of the worker thread must be on their own track.
@@ -309,15 +331,123 @@ TEST(TraceRecorderTest, RoundTripsWithWellFormedNesting) {
   EXPECT_EQ(tids.size(), 2u);
 }
 
-TEST(TraceRecorderTest, DisabledRecorderStaysSilent) {
-  TraceRecorder &recorder = TraceRecorder::Global();
-  recorder.Disable();
-  recorder.Clear();
-  {
-    TraceSpan span("ignored", "test");
-    recorder.EmitInstant("ignored", "test");
+TEST(TraceDrainTest, EachFlushAppendsOnlyNewEvents) {
+  FlightRecorder recorder;
+  std::string path = TempTracePath("ssagg_trace_append");
+  // Recorded before tracing starts: never part of the file.
+  recorder.Record("early", "test", 'i', 0, 0, kInvalidIndex);
+  recorder.SetTracePath(path);
+
+  constexpr idx_t kFirst = 100;
+  constexpr idx_t kSecond = 50;
+  for (idx_t i = 0; i < kFirst; i++) {
+    recorder.Record("event", "test", 'X', i, 1, i);
   }
-  EXPECT_EQ(recorder.EventCount(), 0u);
+  ASSERT_TRUE(recorder.FlushTrace().ok());
+  Json first = ReadTraceFile(path);
+  ASSERT_TRUE(first.Find("traceEvents") != nullptr);
+  EXPECT_EQ(first.Find("traceEvents")->elements().size(), kFirst);
+  EXPECT_EQ(first.Find("droppedEvents")->AsUint(), 0u);
+
+  // Half the second batch on another thread (its own ring).
+  std::thread worker([&recorder]() {
+    for (idx_t i = kFirst; i < kFirst + kSecond / 2; i++) {
+      recorder.Record("event", "test", 'X', i, 1, i);
+    }
+  });
+  worker.join();
+  for (idx_t i = kFirst + kSecond / 2; i < kFirst + kSecond; i++) {
+    recorder.Record("event", "test", 'X', i, 1, i);
+  }
+  ASSERT_TRUE(recorder.FlushTrace().ok());
+  // A flush with nothing new leaves the document as it was.
+  ASSERT_TRUE(recorder.FlushTrace().ok());
+  Json second = ReadTraceFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(second.Find("traceEvents") != nullptr);
+  EXPECT_EQ(second.Find("droppedEvents")->AsUint(), 0u);
+
+  // Every event exactly once.
+  std::vector<idx_t> seen(kFirst + kSecond, 0);
+  for (const Json &event : second.Find("traceEvents")->elements()) {
+    ASSERT_EQ(event.Find("name")->AsString(), "event");
+    idx_t arg = event.Find("args")->Find("v")->AsUint();
+    ASSERT_LT(arg, seen.size());
+    seen[arg]++;
+  }
+  for (idx_t i = 0; i < seen.size(); i++) {
+    EXPECT_EQ(seen[i], 1u) << "event " << i;
+  }
+}
+
+TEST(TraceDrainTest, OverflowBetweenFlushesIsCountedAsDropped) {
+  FlightRecorder recorder;
+  std::string path = TempTracePath("ssagg_trace_overflow");
+  recorder.SetTracePath(path);
+  ASSERT_TRUE(recorder.FlushTrace().ok());
+
+  // Overfill the ring threefold between two flushes: the file gains only
+  // the newest kRingEvents, and the rest is reported, not hidden.
+  constexpr idx_t kTotal = 3 * FlightRecorder::kRingEvents;
+  for (idx_t i = 0; i < kTotal; i++) {
+    recorder.Record("overflow", "test", 'X', i, 1, i);
+  }
+  ASSERT_TRUE(recorder.FlushTrace().ok());
+  Json doc = ReadTraceFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(doc.Find("traceEvents") != nullptr);
+  EXPECT_EQ(doc.Find("droppedEvents")->AsUint(),
+            2 * FlightRecorder::kRingEvents);
+  const auto &events = doc.Find("traceEvents")->elements();
+  ASSERT_EQ(events.size(), FlightRecorder::kRingEvents);
+  uint64_t expected = kTotal - FlightRecorder::kRingEvents;
+  for (const Json &event : events) {
+    EXPECT_EQ(event.Find("args")->Find("v")->AsUint(), expected);
+    expected++;
+  }
+}
+
+TEST(TraceDrainTest, ConcurrentWriterIsNeitherRepeatedNorTorn) {
+  FlightRecorder recorder;
+  std::string path = TempTracePath("ssagg_trace_concurrent");
+  recorder.SetTracePath(path);
+
+  // Flush while a writer laps its ring: every event must land at most once,
+  // never torn (its fields agree with each other), and every event not in
+  // the file must be counted as dropped.
+  std::atomic<bool> stop{false};
+  idx_t recorded = 0;
+  std::thread writer([&]() {
+    for (; !stop.load(std::memory_order_relaxed); recorded++) {
+      recorder.Record("lap", "test", 'X', /*ts_us=*/recorded,
+                      /*dur_us=*/recorded + 1, /*arg=*/recorded);
+    }
+  });
+  while (recorder.EventCount() < FlightRecorder::kRingEvents) {
+    std::this_thread::yield();  // until the writer is lapping
+  }
+  for (int flush = 0; flush < 10; flush++) {
+    EXPECT_TRUE(recorder.FlushTrace().ok());
+  }
+  stop.store(true);
+  writer.join();
+  ASSERT_TRUE(recorder.FlushTrace().ok());
+  Json doc = ReadTraceFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(doc.Find("traceEvents") != nullptr);
+
+  const auto &events = doc.Find("traceEvents")->elements();
+  uint64_t previous = 0;
+  bool first = true;
+  for (const Json &event : events) {
+    uint64_t arg = event.Find("args")->Find("v")->AsUint();
+    ASSERT_EQ(event.Find("ts")->AsUint(), arg);
+    ASSERT_EQ(event.Find("dur")->AsUint(), arg + 1);
+    ASSERT_TRUE(first || arg > previous) << "event " << arg << " repeated";
+    previous = arg;
+    first = false;
+  }
+  EXPECT_EQ(events.size() + doc.Find("droppedEvents")->AsUint(), recorded);
 }
 
 // ---------------------------------------------------------------- profile
@@ -326,9 +456,10 @@ TEST(QueryProfileTest, SpillCountersMatchTemporaryFileGroundTruth) {
   std::string temp_dir = ::testing::TempDir() + "ssagg_observe_test_" + std::to_string(::getpid());
   ASSERT_TRUE(FileSystem::Default().CreateDirectories(temp_dir).ok());
   // Trace the query too: a spilling run must produce balanced spans.
-  TraceRecorder &recorder = TraceRecorder::Global();
-  recorder.Clear();
-  recorder.Enable("");
+  FlightRecorder &recorder = FlightRecorder::Global();
+  std::string saved_trace_path = recorder.trace_path();
+  std::string trace_path = TempTracePath("ssagg_trace_spill");
+  recorder.SetTracePath(trace_path);
 
   // Memory limit below the intermediate size: phase 1 must spill and
   // phase 2 reload (mirrors the external-aggregation e2e test).
@@ -353,7 +484,8 @@ TEST(QueryProfileTest, SpillCountersMatchTemporaryFileGroundTruth) {
   auto stats = RunGroupedAggregation(bm, source, {0},
                                      {{AggregateKind::kSum, 1}}, collector,
                                      executor, config, &profile);
-  recorder.Disable();
+  // RunGroupedAggregation flushed the query's events into the trace file.
+  recorder.SetTracePath(saved_trace_path);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(collector.TotalRows(), kRows);
 
@@ -386,16 +518,19 @@ TEST(QueryProfileTest, SpillCountersMatchTemporaryFileGroundTruth) {
 
   // The trace of the spilling query: spans parse and nest per thread, and
   // the spill I/O shows up.
-  auto parsed = Json::Parse(recorder.ToJson().Dump());
-  recorder.Clear();
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  Json trace = ReadTraceFile(trace_path);
+  std::remove(trace_path.c_str());
+  ASSERT_TRUE(trace.Find("traceEvents") != nullptr);
+  EXPECT_EQ(trace.Find("droppedEvents")->AsUint(), 0u);
   std::vector<SpanEvent> spans;
   bool saw_spill_write = false;
   bool saw_spill_read = false;
-  for (const Json &event : parsed.value().Find("traceEvents")->elements()) {
+  bool saw_strategy = false;
+  for (const Json &event : trace.Find("traceEvents")->elements()) {
     const std::string &name = event.Find("name")->AsString();
     saw_spill_write |= name == "spill.write";
     saw_spill_read |= name == "spill.read";
+    saw_strategy |= name == "planner.strategy";
     if (event.Find("ph")->AsString() == "X") {
       uint64_t ts = event.Find("ts")->AsUint();
       spans.push_back(
@@ -404,6 +539,7 @@ TEST(QueryProfileTest, SpillCountersMatchTemporaryFileGroundTruth) {
   }
   EXPECT_TRUE(saw_spill_write);
   EXPECT_TRUE(saw_spill_read);
+  EXPECT_TRUE(saw_strategy);
   CheckLaminarNesting(spans);
 
   // The profile serializes and round-trips.

@@ -11,7 +11,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -206,14 +209,50 @@ TEST_F(StrategyEquivalenceTest, MisestimateDemotesBackToRadixSafely) {
   config.phase1_capacity = 1024;
   config.radix_bits = 3;
   config.planner_sample_rows = 8192;
+  // The demotion leaves a flight dump behind.
+  const std::string dump_dir = temp_dir_ + "/flight";
+  std::filesystem::remove_all(dump_dir);
+  ASSERT_TRUE(FileSystem::Default().CreateDirectories(dump_dir).ok());
+  FlightRecorder &flight = FlightRecorder::Global();
+  const std::string saved_dump_dir = flight.dump_directory();
+  flight.SetDumpDirectory(dump_dir);
+  const uint64_t query_start_us = flight.NowMicros();
   auto stats = RunGroupedAggregation(bm, source, {0},
                                      {{AggregateKind::kSum, 1}}, collector,
                                      executor, config);
+  flight.SetDumpDirectory(saved_dump_dir);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   ASSERT_TRUE(stats.value().planner_decided);
   // The planner was lured into a thread-local plan, then demoted.
   EXPECT_NE(stats.value().planner.strategy, AggregateStrategy::kRadixMerge);
   EXPECT_TRUE(stats.value().planner_demoted);
+
+  // The demotion dump records which plan this query had chosen.
+  std::string dump_path;
+  for (const auto &entry : std::filesystem::directory_iterator(dump_dir)) {
+    if (entry.path().filename().string().find("demotion") !=
+        std::string::npos) {
+      dump_path = entry.path().string();
+    }
+  }
+  ASSERT_FALSE(dump_path.empty()) << "no demotion dump in " << dump_dir;
+  std::ifstream dump_file(dump_path);
+  std::stringstream dump_text;
+  dump_text << dump_file.rdbuf();
+  auto dump = Json::Parse(dump_text.str());
+  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+  bool saw_strategy = false;
+  for (const Json &event : dump.value().Find("traceEvents")->elements()) {
+    if (event.Find("name")->AsString() == "planner.strategy" &&
+        event.Find("ph")->AsString() == "i" &&
+        event.Find("ts")->AsUint() >= query_start_us) {
+      saw_strategy = true;
+      EXPECT_EQ(event.Find("args")->Find("v")->AsUint(),
+                static_cast<uint64_t>(stats.value().planner.strategy));
+    }
+  }
+  EXPECT_TRUE(saw_strategy) << "demotion dump lacks the planner decision";
+  std::filesystem::remove_all(dump_dir);
   // Exactness: SUM of all-ones equals the row count; every group present.
   int64_t total = 0;
   for (const auto &row : collector.rows()) {
