@@ -145,7 +145,7 @@ int main() {
       if (!more.ok() || !more.value()) {
         break;
       }
-      ht->FinalizeChunk(layout_chunk, ptrs.data(), out);
+      ht->FinalizeChunk(ptrs.data(), layout_chunk.size(), out);
       for (idx_t i = 0; i < out.size() && shown < 5; i++, shown++) {
         std::printf("sensor %5lld  RANGE(temperature) = %.3f\n",
                     static_cast<long long>(out.column(0).GetValue<int64_t>(i)),

@@ -237,8 +237,9 @@ Status TwoLevelSpillAggregate::AggregatePartition(PartitionedTupleData &data,
     TupleDataScanState scan;
     in_memory.InitScan(scan, /*destroy_after_scan=*/true);
     while (true) {
-      SSAGG_ASSIGN_OR_RETURN(bool more,
-                             in_memory.Scan(scan, layout_chunk, ptrs.data()));
+      SSAGG_ASSIGN_OR_RETURN(
+          bool more,
+          in_memory.Scan(scan, ht->ProbeColumns(), layout_chunk, ptrs.data()));
       if (!more) {
         break;
       }
@@ -259,7 +260,7 @@ Status TwoLevelSpillAggregate::AggregatePartition(PartitionedTupleData &data,
         break;
       }
       SSAGG_RETURN_NOT_OK(executor.CheckDeadline());
-      reader.GatherBatch(src_rows, layout_chunk);
+      reader.GatherBatch(src_rows, ht->ProbeColumns(), layout_chunk);
       SSAGG_RETURN_NOT_OK(
           ht->CombineSourceChunk(layout_chunk, src_rows.data()));
     }
@@ -277,13 +278,14 @@ Status TwoLevelSpillAggregate::AggregatePartition(PartitionedTupleData &data,
   TupleDataScanState result_scan;
   result.InitScan(result_scan, /*destroy_after_scan=*/true);
   std::vector<data_ptr_t> ptrs(kVectorSize);
+  DataChunk rows;
   while (true) {
     SSAGG_ASSIGN_OR_RETURN(bool more,
-                           result.Scan(result_scan, layout_chunk, ptrs.data()));
+                           result.Scan(result_scan, {}, rows, ptrs.data()));
     if (!more) {
       break;
     }
-    ht->FinalizeChunk(layout_chunk, ptrs.data(), out);
+    ht->FinalizeChunk(ptrs.data(), rows.size(), out);
     SSAGG_RETURN_NOT_OK(output.Sink(out, *out_local));
   }
   return output.Combine(*out_local);

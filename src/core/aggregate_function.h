@@ -40,6 +40,9 @@ struct AggregateFunction {
                  idx_t count) = nullptr;
 
   /// Merges state `src` into `dst` (phase-2 partition-wise aggregation).
+  /// Combining into an all-zero state must give `src`'s exact bytes: phase
+  /// 2 copies a new group's state instead of combining it into a zeroed
+  /// one (a SUM/AVG state starts at +0.0, so it never holds -0.0).
   void (*combine)(const_data_ptr_t src, data_ptr_t dst) = nullptr;
 
   /// Writes the state's final value to row `out_row` of `out`.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "layout/row_kernels.h"
 #include "observe/flight_recorder.h"
 
 namespace ssagg {
@@ -84,6 +85,10 @@ Status GroupedAggregateHashTable::Initialize(AggregateRowLayout row_layout) {
 
   row_matcher_.Initialize(row_layout_.layout, row_layout_.group_count,
                           row_layout_.hash_column);
+  for (idx_t g = 0; g < row_layout_.group_count; g++) {
+    probe_columns_.push_back(g);
+  }
+  probe_columns_.push_back(row_layout_.hash_column);
   ht_offsets_.resize(kVectorSize);
   salts_.resize(kVectorSize);
   new_row_ptrs_.resize(kVectorSize);
@@ -106,7 +111,7 @@ std::vector<LogicalTypeId> GroupedAggregateHashTable::OutputTypes() const {
 
 Status GroupedAggregateHashTable::FindOrCreateGroups(
     const DataChunk &layout_chunk, const hash_t *hashes, idx_t start,
-    idx_t count) {
+    idx_t count, const data_ptr_t *src_rows) {
   SSAGG_DASSERT(start + count <= kVectorSize);
   uint64_t *table = entries();
   const bool use_salt = config_.use_salt;
@@ -191,13 +196,20 @@ Status GroupedAggregateHashTable::FindOrCreateGroups(
     }
 
     // One batched, partition-aware append materializes every new group of
-    // the round (column-major -> row-major conversion happens here), then
-    // the claimed entries are backfilled with the row addresses.
+    // the round (phase 1 scatters the columns; phase 2 copies the source
+    // rows), then the claimed entries are backfilled with the row
+    // addresses.
     if (!new_group_sel_.empty()) {
       const idx_t new_count = new_group_sel_.size();
-      SSAGG_RETURN_NOT_OK(data_->Append(layout_chunk, hashes,
-                                        new_group_sel_.data(), new_count,
-                                        new_row_ptrs_.data()));
+      if (src_rows != nullptr) {
+        SSAGG_RETURN_NOT_OK(data_->AppendRowCopies(
+            src_rows, hashes, new_group_sel_.data(), new_count,
+            new_row_ptrs_.data()));
+      } else {
+        SSAGG_RETURN_NOT_OK(data_->Append(layout_chunk, hashes,
+                                          new_group_sel_.data(), new_count,
+                                          new_row_ptrs_.data()));
+      }
       for (idx_t i = 0; i < new_count; i++) {
         const idx_t r = new_group_sel_[i];
         table[ht_offsets_[r]] = MakeEntry(new_row_ptrs_[i], salts_[r]);
@@ -223,6 +235,11 @@ Status GroupedAggregateHashTable::FindOrCreateGroups(
                          no_match_sel_);
       stats_.key_compares += compare_count;
       stats_.key_compare_misses += no_match_sel_.size();
+      if (src_rows != nullptr) {
+        for (idx_t i = 0; i < compare_sel_.size(); i++) {
+          matched_sel_.Append(compare_sel_[i]);
+        }
+      }
       // Matched rows are done (row_ptrs_ already points at their group);
       // mismatches advance one slot and go into the next round.
       for (idx_t i = 0; i < no_match_sel_.size(); i++) {
@@ -403,7 +420,7 @@ Status GroupedAggregateHashTable::AddChunk(const DataChunk &input) {
 }
 
 Status GroupedAggregateHashTable::CombineSourceChunk(
-    const DataChunk &layout_chunk, data_ptr_t *src_rows) {
+    const DataChunk &layout_chunk, const data_ptr_t *src_rows) {
   const idx_t count = layout_chunk.size();
   if (count == 0) {
     return Status::OK();
@@ -414,15 +431,22 @@ Status GroupedAggregateHashTable::CombineSourceChunk(
   static_assert(sizeof(hash_t) == sizeof(int64_t));
   const auto *hashes = reinterpret_cast<const hash_t *>(
       layout_chunk.column(row_layout_.hash_column).data());
-  SSAGG_RETURN_NOT_OK(FindOrCreateGroups(layout_chunk, hashes, 0, count));
+  matched_sel_.Clear();
+  SSAGG_RETURN_NOT_OK(
+      FindOrCreateGroups(layout_chunk, hashes, 0, count, src_rows));
+  // New groups are copies of their source rows and already hold the
+  // source states (and first-wins sticky values); only the rows that
+  // found an existing group fold their states in.
   const idx_t aggr_offset = row_layout_.layout.AggregateOffset();
+  const idx_t matched = matched_sel_.size();
   for (const auto &agg : row_layout_.aggregates) {
     if (agg.sticky) {
-      continue;  // first-wins: the appended copy already has the value
+      continue;
     }
-    idx_t offset = aggr_offset + agg.state_offset;
-    for (idx_t i = 0; i < count; i++) {
-      agg.function.combine(src_rows[i] + offset, row_ptrs_[i] + offset);
+    const idx_t offset = aggr_offset + agg.state_offset;
+    for (idx_t i = 0; i < matched; i++) {
+      const idx_t r = matched_sel_[i];
+      agg.function.combine(src_rows[r] + offset, row_ptrs_[r] + offset);
     }
   }
   return Status::OK();
@@ -491,22 +515,25 @@ Status GroupedAggregateHashTable::Resize() {
   return Status::OK();
 }
 
-void GroupedAggregateHashTable::FinalizeChunk(const DataChunk &layout_chunk,
-                                              data_ptr_t *row_ptrs,
-                                              DataChunk &out) {
-  const idx_t count = layout_chunk.size();
+void GroupedAggregateHashTable::FinalizeChunk(const data_ptr_t *row_ptrs,
+                                              idx_t count,
+                                              DataChunk &out) const {
+  // A reset chunk: the gathers expect all-valid vectors, and finalize only
+  // ever marks rows invalid.
+  out.Reset();
+  const TupleDataLayout &layout = row_layout_.layout;
   for (idx_t g = 0; g < row_layout_.group_count; g++) {
-    CopyVectorShallow(layout_chunk.column(g), out.column(g), count);
+    GatherColumn(layout, g, row_ptrs, count, out.column(g));
   }
   idx_t out_col = row_layout_.group_count;
-  const idx_t aggr_offset = row_layout_.layout.AggregateOffset();
+  const idx_t aggr_offset = layout.AggregateOffset();
   for (const auto &agg : row_layout_.aggregates) {
     Vector &result = out.column(out_col++);
     if (agg.sticky) {
-      CopyVectorShallow(layout_chunk.column(agg.layout_column), result, count);
+      GatherColumn(layout, agg.layout_column, row_ptrs, count, result);
       continue;
     }
-    idx_t offset = aggr_offset + agg.state_offset;
+    const idx_t offset = aggr_offset + agg.state_offset;
     for (idx_t i = 0; i < count; i++) {
       agg.function.finalize(row_ptrs[i] + offset, result, i);
     }

@@ -21,8 +21,9 @@ namespace ssagg {
 ///   - the rows (group keys + hash + sticky payload + aggregate states)
 ///     are materialized directly into a radix-partitioned, buffer-managed,
 ///     spillable page layout: the conversion from column-major input to
-///     row-major storage happens while partitioning, and tuples are never
-///     copied again;
+///     row-major storage happens while partitioning, and phase 2 never
+///     converts back (it probes on gathered keys and copies new groups'
+///     rows whole);
 ///   - the group's hash is stored as a hidden layout column, so phase 2
 ///     never rehashes and resize can rebuild the pointer table from rows.
 ///
@@ -92,10 +93,18 @@ class GroupedAggregateHashTable {
   Status AddChunk(const DataChunk &input);
 
   /// Phase 2: merges rows of another hash table's materialized data (same
-  /// layout) into this table. `layout_chunk` is a gathered chunk of layout
-  /// columns and `src_rows` the corresponding source row addresses.
+  /// layout) into this table. `layout_chunk` holds the gathered group
+  /// columns and hash column (ProbeColumns()) of the source rows at
+  /// `src_rows`; no other column is read. A row whose group is new here is
+  /// appended as a copy of its source row, states included; only rows that
+  /// found an existing group run `combine`. Copying equals combining into
+  /// a zeroed state for every aggregate kind (aggregate_function.h).
   Status CombineSourceChunk(const DataChunk &layout_chunk,
-                            data_ptr_t *src_rows);
+                            const data_ptr_t *src_rows);
+
+  /// The layout columns CombineSourceChunk reads: the group columns, then
+  /// the hash column.
+  const std::vector<idx_t> &ProbeColumns() const { return probe_columns_; }
 
   /// Phase-1 check: the table must be reset once two-thirds full.
   bool NeedsReset() const {
@@ -133,12 +142,13 @@ class GroupedAggregateHashTable {
   /// result column per aggregate (in request order).
   std::vector<LogicalTypeId> OutputTypes() const;
 
-  /// Converts gathered layout rows into an output chunk: group values are
-  /// copied through, aggregate states finalized. `out` must have
-  /// OutputTypes() columns; its string values reference `layout_chunk` and
-  /// must be consumed before the next scan.
-  void FinalizeChunk(const DataChunk &layout_chunk, data_ptr_t *row_ptrs,
-                     DataChunk &out);
+  /// Converts `count` materialized rows into an output chunk: group and
+  /// sticky values are gathered straight from the rows, aggregate states
+  /// finalized. `out` must have OutputTypes() columns; it is reset first.
+  /// Its string values point into the rows' heap pages, so it must be
+  /// consumed while those stay pinned (for a scan: before the next Scan).
+  void FinalizeChunk(const data_ptr_t *row_ptrs, idx_t count,
+                     DataChunk &out) const;
 
   const Stats &stats() const { return stats_; }
 
@@ -148,9 +158,12 @@ class GroupedAggregateHashTable {
   Status Initialize(AggregateRowLayout row_layout);
 
   /// Probes rows [start, start + count) of `layout_chunk` (which must have
-  /// exactly the layout's columns, with the hash column filled from
-  /// `hashes`); inserts rows whose group is missing. Writes each row's
-  /// group-row address into `row_ptrs_`.
+  /// the layout's columns, with the group columns filled and the hash
+  /// column filled from `hashes`); inserts rows whose group is missing.
+  /// Writes each row's group-row address into `row_ptrs_`. A new group is
+  /// materialized from `layout_chunk`'s columns, or, when `src_rows` is
+  /// given, as a copy of source row `src_rows[r]`; in that mode the rows
+  /// that matched an existing group are collected in `matched_sel_`.
   ///
   /// The vectorized probe pipeline. Each round over the shrinking set of
   /// unresolved rows: (1) prefetch the probed entries; (2) a tight salt
@@ -162,7 +175,8 @@ class GroupedAggregateHashTable {
   /// candidates; mismatching rows advance one slot and stay for the next
   /// round. The resize/budget guard runs once per round, not per row.
   Status FindOrCreateGroups(const DataChunk &layout_chunk,
-                            const hash_t *hashes, idx_t start, idx_t count);
+                            const hash_t *hashes, idx_t start, idx_t count,
+                            const data_ptr_t *src_rows = nullptr);
 
   /// New groups a phase-1 (non-resizable) table can still take before
   /// reaching the reset threshold.
@@ -216,6 +230,8 @@ class GroupedAggregateHashTable {
   SelectionVector new_group_sel_;
   SelectionVector compare_sel_;
   SelectionVector no_match_sel_;
+  SelectionVector matched_sel_;
+  std::vector<idx_t> probe_columns_;
 
   // Direct-index pointer cache (slot direct_range = NULL key); emptied on
   // ClearPointerTable (the rows' pins are released with it) and dropped for

@@ -82,6 +82,20 @@ Status PhysicalHashAggregate::MakeMergeTable(
   return Status::OK();
 }
 
+Status PhysicalHashAggregate::MakePhase2Table(
+    std::unique_ptr<GroupedAggregateHashTable> *out) {
+  GroupedAggregateHashTable::Config ht_config;
+  ht_config.capacity = config_.phase2_initial_capacity;
+  ht_config.radix_bits = 0;  // a phase-2 table is not repartitioned
+  ht_config.resizable = true;
+  ht_config.use_salt = config_.use_salt;
+  ht_config.reset_fill_ratio = config_.reset_fill_ratio;
+  SSAGG_ASSIGN_OR_RETURN(*out,
+                         GroupedAggregateHashTable::Create(
+                             buffer_manager_, row_layout_, ht_config));
+  return Status::OK();
+}
+
 void PhysicalHashAggregate::ObserveChunkKeyRange(const DataChunk &chunk) {
   const Vector &key_vec = chunk.column(direct_key_column_);
   const auto *keys = key_vec.Values<int64_t>();
@@ -230,14 +244,8 @@ Status PhysicalHashAggregate::EarlyCompactLocal(LocalState &local) {
     if (part.Count() < kVectorSize) {
       continue;  // nothing worth compacting
     }
-    GroupedAggregateHashTable::Config ht_config;
-    ht_config.capacity = config_.phase2_initial_capacity;
-    ht_config.radix_bits = 0;
-    ht_config.resizable = true;
-    ht_config.use_salt = config_.use_salt;
-      SSAGG_ASSIGN_OR_RETURN(
-        auto compactor, GroupedAggregateHashTable::Create(
-                            buffer_manager_, row_layout_, ht_config));
+    std::unique_ptr<GroupedAggregateHashTable> compactor;
+    SSAGG_RETURN_NOT_OK(MakePhase2Table(&compactor));
     SSAGG_RETURN_NOT_OK(MergeCollectionInto(*compactor, part, nullptr));
     compactor->ClearPointerTable();
     // Replace the partition's contents with the compacted rows.
@@ -259,13 +267,16 @@ Status PhysicalHashAggregate::MergeCollectionInto(
   // Warm spilled pages while the scan sets up; the scan itself prefetches
   // one page ahead from then on.
   source.PrefetchForScan(4);
+  // The probe reads only the keys and the hash; new groups are copied from
+  // their source rows, so no other column is ever gathered.
   DataChunk layout_chunk(row_layout_.layout.Types());
   std::vector<data_ptr_t> src_rows(kVectorSize);
   TupleDataScanState scan;
   source.InitScan(scan, /*destroy_after_scan=*/true);
   while (true) {
-    SSAGG_ASSIGN_OR_RETURN(bool more,
-                           source.Scan(scan, layout_chunk, src_rows.data()));
+    SSAGG_ASSIGN_OR_RETURN(
+        bool more, source.Scan(scan, target.ProbeColumns(), layout_chunk,
+                               src_rows.data()));
     if (!more) {
       break;
     }
@@ -361,15 +372,8 @@ Status PhysicalHashAggregate::AggregatePartition(PartitionedTupleData &data,
     return Status::OK();
   }
   TraceSpan span("phase2.partition", "agg", partition_idx);
-  GroupedAggregateHashTable::Config ht_config;
-  ht_config.capacity = config_.phase2_initial_capacity;
-  ht_config.radix_bits = 0;  // a phase-2 table is not repartitioned
-  ht_config.resizable = true;
-  ht_config.use_salt = config_.use_salt;
-  ht_config.reset_fill_ratio = config_.reset_fill_ratio;
-  SSAGG_ASSIGN_OR_RETURN(
-      auto ht, GroupedAggregateHashTable::Create(buffer_manager_, row_layout_,
-                                                 ht_config));
+  std::unique_ptr<GroupedAggregateHashTable> ht;
+  SSAGG_RETURN_NOT_OK(MakePhase2Table(&ht));
 
   // Merge the partition's pre-aggregated rows; pages are destroyed as the
   // scan moves past them.
@@ -397,7 +401,9 @@ Status PhysicalHashAggregate::EmitTablePartition(
     return Status::OK();
   }
   SSAGG_ASSIGN_OR_RETURN(auto out_local, output.InitLocal());
-  DataChunk layout_chunk(row_layout_.layout.Types());
+  // The scan only positions the rows (no columns); FinalizeChunk gathers
+  // each output column straight from them.
+  DataChunk rows;
   std::vector<data_ptr_t> src_rows(kVectorSize);
   DataChunk out(OutputTypes());
   TupleDataScanState result_scan;
@@ -405,12 +411,12 @@ Status PhysicalHashAggregate::EmitTablePartition(
   idx_t groups = 0;
   while (true) {
     SSAGG_ASSIGN_OR_RETURN(
-        bool more, result.Scan(result_scan, layout_chunk, src_rows.data()));
+        bool more, result.Scan(result_scan, {}, rows, src_rows.data()));
     if (!more) {
       break;
     }
     SSAGG_RETURN_NOT_OK(executor.CheckDeadline());
-    table.FinalizeChunk(layout_chunk, src_rows.data(), out);
+    table.FinalizeChunk(src_rows.data(), rows.size(), out);
     groups += out.size();
     SSAGG_RETURN_NOT_OK(output.Sink(out, *out_local));
   }

@@ -162,6 +162,9 @@ class PhysicalHashAggregate : public DataSink {
   };
 
   Status MakePhase1Table(std::unique_ptr<GroupedAggregateHashTable> *out);
+  /// A resizable, unpartitioned table that re-aggregates one collection: a
+  /// phase-2 partition, or a partition early aggregation compacts.
+  Status MakePhase2Table(std::unique_ptr<GroupedAggregateHashTable> *out);
   Status MakeMergeTable(idx_t capacity,
                         std::unique_ptr<GroupedAggregateHashTable> *out);
 

@@ -147,6 +147,8 @@ Result<HashAggregateStats> RunGroupedAggregation(
                        exec.sink_seconds - exec_before.sink_seconds);
     profile->AddTiming("exec.combine_seconds",
                        exec.combine_seconds - exec_before.combine_seconds);
+    profile->AddTiming("exec.task_seconds",
+                       exec.task_seconds - exec_before.task_seconds);
 
     BufferManagerSnapshot snapshot = buffer_manager.Snapshot();
     profile->AddCounter("bm.memory_limit", snapshot.memory_limit);

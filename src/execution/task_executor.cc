@@ -57,6 +57,7 @@ void ExecutorStats::Merge(const ExecutorStats &other) {
   source_seconds += other.source_seconds;
   sink_seconds += other.sink_seconds;
   combine_seconds += other.combine_seconds;
+  task_seconds += other.task_seconds;
 }
 
 TaskExecutor::TaskExecutor(idx_t num_threads) : num_threads_(num_threads) {
@@ -68,6 +69,7 @@ TaskExecutor::TaskExecutor(idx_t num_threads) : num_threads_(num_threads) {
   key_source_ns_ = registry.KeyId("exec.source_ns");
   key_sink_ns_ = registry.KeyId("exec.sink_ns");
   key_combine_ns_ = registry.KeyId("exec.combine_ns");
+  key_task_ns_ = registry.KeyId("exec.task_ns");
   hist_morsel_sink_ = registry.HistogramId("exec.morsel_sink_ns");
 }
 
@@ -177,6 +179,7 @@ void TaskExecutor::AccumulateWorker(const ExecutorStats &local) {
   registry.Add(key_sink_ns_, static_cast<uint64_t>(local.sink_seconds * 1e9));
   registry.Add(key_combine_ns_,
                static_cast<uint64_t>(local.combine_seconds * 1e9));
+  registry.Add(key_task_ns_, static_cast<uint64_t>(local.task_seconds * 1e9));
 }
 
 Status TaskExecutor::RunPipeline(DataSource &source, DataSink &sink,
@@ -268,6 +271,7 @@ Status TaskExecutor::RunTasks(const std::vector<std::function<Status()>> &tasks)
   std::function<void()> worker = [&]() {
     GrantScope grant_scope(memory_grant_);
     ExecutorStats local;
+    auto worker_start = Clock::now();
     while (!errors.Failed()) {
       Status deadline = CheckDeadline();
       if (!deadline.ok()) {
@@ -281,8 +285,11 @@ Status TaskExecutor::RunTasks(const std::vector<std::function<Status()>> &tasks)
       }
       TraceSpan task_span("task", "exec", i);
       local.tasks++;
+      auto task_start = Clock::now();
       errors.Set(tasks[i]());
+      local.task_seconds += SecondsSince(task_start);
     }
+    local.worker_seconds = SecondsSince(worker_start);
     AccumulateWorker(local);
   };
   RunOnWorkers(std::min<idx_t>(num_threads_, tasks.size()), worker);

@@ -17,8 +17,11 @@ class GrantState;
 
 /// Per-run observability counters of the executor, summed over workers.
 /// Seconds are cumulative thread time, so with N workers busy the whole
-/// run, source+sink+combine approaches N x wall clock; the gap between
-/// worker_seconds and (source+sink+combine) is time lost to skew/idling.
+/// run, source+sink+combine+task approaches N x wall clock; the gap between
+/// worker_seconds and (source+sink+combine+task) is time lost to
+/// skew/idling. worker_seconds covers both pipeline workers and RunTasks
+/// workers (phase 2); a RunTasks started from inside a task runs inline and
+/// is counted again, by its own worker.
 struct ExecutorStats {
   idx_t workers = 0;
   idx_t chunks = 0;           // morsel chunks pushed into the sink
@@ -29,6 +32,7 @@ struct ExecutorStats {
   double source_seconds = 0;   // inside DataSource::GetData
   double sink_seconds = 0;     // inside DataSink::Sink ("busy")
   double combine_seconds = 0;  // inside DataSink::Combine
+  double task_seconds = 0;     // inside RunTasks task bodies
 
   void Merge(const ExecutorStats &other);
 };
@@ -119,6 +123,7 @@ class TaskExecutor {
   idx_t key_source_ns_;
   idx_t key_sink_ns_;
   idx_t key_combine_ns_;
+  idx_t key_task_ns_;
   /// Per-morsel Sink() duration histogram ("exec.morsel_sink_ns").
   idx_t hist_morsel_sink_;
 

@@ -2,13 +2,14 @@
 
 namespace ssagg {
 
-Status PartitionedTupleData::Append(const DataChunk &input,
-                                    const hash_t *hashes, const idx_t *sel,
-                                    idx_t count, data_ptr_t *row_ptrs_out) {
+template <typename AppendFn>
+Status PartitionedTupleData::AppendPartitioned(const hash_t *hashes,
+                                               const idx_t *sel, idx_t count,
+                                               data_ptr_t *row_ptrs_out,
+                                               AppendFn &&append) {
   const idx_t npart = partitions_.size();
   if (npart == 1) {
-    return partitions_[0]->AppendRows(states_[0], input, sel, count,
-                                      row_ptrs_out);
+    return append(*partitions_[0], states_[0], sel, count, row_ptrs_out);
   }
   scratch_sel_.resize(count);
   scratch_pos_.resize(count);
@@ -43,9 +44,9 @@ Status PartitionedTupleData::Append(const DataChunk &input,
     if (counts[p] == 0) {
       continue;
     }
-    SSAGG_RETURN_NOT_OK(partitions_[p]->AppendRows(
-        states_[p], input, scratch_sel_.data() + offsets[p], counts[p],
-        scratch_ptrs_.data() + offsets[p]));
+    SSAGG_RETURN_NOT_OK(append(*partitions_[p], states_[p],
+                               scratch_sel_.data() + offsets[p], counts[p],
+                               scratch_ptrs_.data() + offsets[p]));
   }
   if (row_ptrs_out) {
     for (idx_t i = 0; i < count; i++) {
@@ -53,6 +54,29 @@ Status PartitionedTupleData::Append(const DataChunk &input,
     }
   }
   return Status::OK();
+}
+
+Status PartitionedTupleData::Append(const DataChunk &input,
+                                    const hash_t *hashes, const idx_t *sel,
+                                    idx_t count, data_ptr_t *row_ptrs_out) {
+  return AppendPartitioned(
+      hashes, sel, count, row_ptrs_out,
+      [&](TupleDataCollection &part, TupleDataAppendState &state,
+          const idx_t *part_sel, idx_t n, data_ptr_t *ptrs) {
+        return part.AppendRows(state, input, part_sel, n, ptrs);
+      });
+}
+
+Status PartitionedTupleData::AppendRowCopies(const data_ptr_t *src_rows,
+                                             const hash_t *hashes,
+                                             const idx_t *sel, idx_t count,
+                                             data_ptr_t *row_ptrs_out) {
+  return AppendPartitioned(
+      hashes, sel, count, row_ptrs_out,
+      [&](TupleDataCollection &part, TupleDataAppendState &state,
+          const idx_t *part_sel, idx_t n, data_ptr_t *ptrs) {
+        return part.AppendRowCopies(state, src_rows, part_sel, n, ptrs);
+      });
 }
 
 }  // namespace ssagg

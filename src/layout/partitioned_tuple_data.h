@@ -61,6 +61,14 @@ class PartitionedTupleData {
   Status Append(const DataChunk &input, const hash_t *hashes, const idx_t *sel,
                 idx_t count, data_ptr_t *row_ptrs_out);
 
+  /// Append by row copy (TupleDataCollection::AppendRowCopies): row
+  /// `src_rows[sel ? sel[i] : i]` is copied into the partition of its
+  /// hash, through the same counting sort. `hashes` is indexed like
+  /// `src_rows`.
+  Status AppendRowCopies(const data_ptr_t *src_rows, const hash_t *hashes,
+                         const idx_t *sel, idx_t count,
+                         data_ptr_t *row_ptrs_out);
+
   /// Releases the append pins of all partitions: the pages become eviction
   /// candidates (called when the thread-local hash table is reset).
   void ReleaseAppendPins() {
@@ -99,6 +107,14 @@ class PartitionedTupleData {
   }
 
  private:
+  /// Routes the selected rows to their partitions with one counting sort
+  /// and calls append(partition, state, sub_sel, n, ptrs) once per touched
+  /// partition; `sub_sel` holds original row indices.
+  template <typename AppendFn>
+  Status AppendPartitioned(const hash_t *hashes, const idx_t *sel,
+                           idx_t count, data_ptr_t *row_ptrs_out,
+                           AppendFn &&append);
+
   TupleDataLayout layout_;
   idx_t radix_bits_;
   std::vector<std::unique_ptr<TupleDataCollection>> partitions_;

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/string_type.h"
+#include "layout/row_kernels.h"
 
 namespace ssagg {
 
@@ -81,103 +82,156 @@ idx_t TupleDataCollection::ComputeRowHeapSize(const DataChunk &input,
   return total;
 }
 
-Status TupleDataCollection::AppendRows(TupleDataAppendState &state,
-                                       const DataChunk &input, const idx_t *sel,
-                                       idx_t count, data_ptr_t *row_ptrs_out) {
+data_ptr_t *TupleDataCollection::AppendTargets(TupleDataAppendState &state,
+                                               idx_t count,
+                                               data_ptr_t *row_ptrs_out) {
+  if (state.heap_cursors.size() < count) {
+    state.heap_cursors.resize(count);
+  }
+  if (row_ptrs_out != nullptr) {
+    return row_ptrs_out;
+  }
+  if (state.rows.size() < count) {
+    state.rows.resize(count);
+  }
+  return state.rows.data();
+}
+
+template <typename HeapSizeFn>
+Status TupleDataCollection::PlaceRows(TupleDataAppendState &state, idx_t count,
+                                      HeapSizeFn &&heap_size,
+                                      data_ptr_t *rows,
+                                      data_ptr_t *heap_cursors,
+                                      idx_t &placed) {
   const idx_t row_width = layout_.RowWidth();
   const idx_t rows_per_page = layout_.RowsPerPage();
-  const idx_t validity_bytes = layout_.ValidityBytes();
-  const idx_t ncols = layout_.ColumnCount();
-
-  for (idx_t i = 0; i < count; i++) {
-    idx_t r = sel ? sel[i] : i;
-    idx_t heap_size = layout_.AllConstantSize() ? 0
-                                                : ComputeRowHeapSize(input, r);
-
-    // Make sure there is a row slot.
+  // The pinned bases of the pages being filled are looked up once per page
+  // rather than once per row.
+  idx_t heap_base_idx = kInvalidIndex;
+  data_ptr_t heap_base = nullptr;
+  placed = 0;
+  while (placed < count) {
     if (current_row_page_ == kInvalidIndex ||
         row_pages_[current_row_page_].count >= rows_per_page) {
       SSAGG_RETURN_NOT_OK(NewRowPage(state));
     }
-    // Make sure the row's entire heap data fits one heap page, so one
-    // HeapRef covers the row.
-    data_ptr_t heap_write = nullptr;
-    data_ptr_t heap_base = nullptr;
-    if (heap_size > 0) {
-      if (current_heap_page_ == kInvalidIndex ||
-          heap_pages_[current_heap_page_].used + heap_size >
-              heap_pages_[current_heap_page_].size) {
-        SSAGG_RETURN_NOT_OK(NewHeapPage(state, heap_size));
-      }
-      SSAGG_ASSIGN_OR_RETURN(heap_base,
-                             GetHeapPagePtr(state, current_heap_page_));
-      heap_write = heap_base + heap_pages_[current_heap_page_].used;
-    }
-
-    RowPage &page = row_pages_[current_row_page_];
+    const idx_t page_idx = current_row_page_;
     SSAGG_ASSIGN_OR_RETURN(data_ptr_t page_base,
-                           GetRowPagePtr(state, current_row_page_));
-    idx_t prow = page.count;
-    data_ptr_t row = page_base + prow * row_width;
-
-    // All columns valid by default; cleared per NULL below.
-    std::memset(row, 0xFF, validity_bytes);
-
-    for (idx_t c = 0; c < ncols; c++) {
-      const Vector &vec = input.column(c);
-      idx_t offset = layout_.ColumnOffset(c);
-      idx_t width = TypeWidth(layout_.ColumnType(c));
-      bool valid = vec.validity().RowIsValid(r);
-      if (!valid) {
-        layout_.RowSetColumnValid(row, c, false);
-        std::memset(row + offset, 0, width);
-        continue;
+                           GetRowPagePtr(state, page_idx));
+    const idx_t fit =
+        std::min(count - placed, rows_per_page - row_pages_[page_idx].count);
+    for (idx_t k = 0; k < fit; k++) {
+      RowPage &page = row_pages_[page_idx];
+      const idx_t prow = page.count;
+      const idx_t size = heap_size(placed);
+      data_ptr_t heap_write = nullptr;
+      if (size > 0) {
+        // The row's entire heap data goes on one heap page, so one HeapRef
+        // covers the row.
+        if (current_heap_page_ == kInvalidIndex ||
+            heap_pages_[current_heap_page_].used + size >
+                heap_pages_[current_heap_page_].size) {
+          SSAGG_RETURN_NOT_OK(NewHeapPage(state, size));
+        }
+        if (heap_base_idx != current_heap_page_) {
+          SSAGG_ASSIGN_OR_RETURN(heap_base,
+                                 GetHeapPagePtr(state, current_heap_page_));
+          heap_base_idx = current_heap_page_;
+        }
+        HeapPage &heap = heap_pages_[current_heap_page_];
+        heap_write = heap_base + heap.used;
+        heap.used += size;
+        heap_bytes_ += size;
+        // Extend the previous HeapRef if this row continues it, else start
+        // a new one (also when the page was re-pinned at a new base).
+        auto base_val = reinterpret_cast<uint64_t>(heap_base);
+        if (!page.heap_refs.empty() &&
+            page.heap_refs.back().heap_idx == current_heap_page_ &&
+            page.heap_refs.back().old_base == base_val &&
+            page.heap_refs.back().row_end == prow) {
+          page.heap_refs.back().row_end = prow + 1;
+        } else {
+          page.heap_refs.push_back(
+              HeapRef{current_heap_page_, base_val, prow, prow + 1});
+        }
       }
-      if (!TypeIsVarSize(layout_.ColumnType(c))) {
-        std::memcpy(row + offset, vec.data() + r * width, width);
-        continue;
-      }
-      string_t s = vec.Values<string_t>()[r];
-      if (s.IsInlined()) {
-        std::memcpy(row + offset, &s, sizeof(string_t));
-      } else {
-        std::memcpy(heap_write, s.data(), s.size());
-        string_t stored(reinterpret_cast<char *>(heap_write), s.size());
-        std::memcpy(row + offset, &stored, sizeof(string_t));
-        heap_write += s.size();
-      }
-    }
-
-    if (layout_.AggregateWidth() > 0) {
-      std::memset(row + layout_.AggregateOffset(), 0,
-                  layout_.AggregateWidth());
-    }
-
-    if (heap_size > 0) {
-      HeapPage &heap = heap_pages_[current_heap_page_];
-      heap.used += heap_size;
-      heap_bytes_ += heap_size;
-      // Extend the previous HeapRef if this row continues it, else start a
-      // new one (also when the page was re-pinned at a new base).
-      auto base_val = reinterpret_cast<uint64_t>(heap_base);
-      if (!page.heap_refs.empty() &&
-          page.heap_refs.back().heap_idx == current_heap_page_ &&
-          page.heap_refs.back().old_base == base_val &&
-          page.heap_refs.back().row_end == prow) {
-        page.heap_refs.back().row_end = prow + 1;
-      } else {
-        page.heap_refs.push_back(
-            HeapRef{current_heap_page_, base_val, prow, prow + 1});
-      }
-    }
-
-    page.count++;
-    count_++;
-    if (row_ptrs_out) {
-      row_ptrs_out[i] = row;
+      rows[placed] = page_base + prow * row_width;
+      heap_cursors[placed] = heap_write;
+      page.count++;
+      count_++;
+      placed++;
     }
   }
   return Status::OK();
+}
+
+Status TupleDataCollection::AppendRows(TupleDataAppendState &state,
+                                       const DataChunk &input, const idx_t *sel,
+                                       idx_t count, data_ptr_t *row_ptrs_out) {
+  data_ptr_t *rows = AppendTargets(state, count, row_ptrs_out);
+  data_ptr_t *heap_cursors = state.heap_cursors.data();
+  idx_t placed = 0;
+  Status status = PlaceRows(
+      state, count,
+      [&](idx_t i) { return ComputeRowHeapSize(input, sel ? sel[i] : i); },
+      rows, heap_cursors, placed);
+
+  // All columns valid by default; ScatterColumn clears the NULLs.
+  const idx_t validity_bytes = layout_.ValidityBytes();
+  for (idx_t i = 0; i < placed; i++) {
+    std::memset(rows[i], 0xFF, validity_bytes);
+  }
+  for (idx_t c = 0; c < layout_.ColumnCount(); c++) {
+    ScatterColumn(layout_, c, input.column(c), sel, placed, rows,
+                  heap_cursors);
+  }
+  if (layout_.AggregateWidth() > 0) {
+    const idx_t aggr_offset = layout_.AggregateOffset();
+    const idx_t aggr_width = layout_.AggregateWidth();
+    for (idx_t i = 0; i < placed; i++) {
+      std::memset(rows[i] + aggr_offset, 0, aggr_width);
+    }
+  }
+  return status;
+}
+
+Status TupleDataCollection::AppendRowCopies(TupleDataAppendState &state,
+                                            const data_ptr_t *src_rows,
+                                            const idx_t *sel, idx_t count,
+                                            data_ptr_t *row_ptrs_out) {
+  data_ptr_t *rows = AppendTargets(state, count, row_ptrs_out);
+  data_ptr_t *heap_cursors = state.heap_cursors.data();
+  auto source = [&](idx_t i) { return src_rows[sel ? sel[i] : i]; };
+  idx_t placed = 0;
+  Status status = PlaceRows(
+      state, count,
+      [&](idx_t i) { return RowHeapSize(layout_, source(i)); }, rows,
+      heap_cursors, placed);
+
+  const idx_t row_width = layout_.RowWidth();
+  for (idx_t i = 0; i < placed; i++) {
+    std::memcpy(rows[i], source(i), row_width);
+  }
+  // Move the non-inlined strings onto this collection's heap; the copied
+  // headers still point at the source's heap bytes until rewritten.
+  for (idx_t c : layout_.VarSizeColumns()) {
+    const idx_t offset = layout_.ColumnOffset(c);
+    for (idx_t i = 0; i < placed; i++) {
+      if (!layout_.RowIsColumnValid(rows[i], c)) {
+        continue;
+      }
+      string_t s;
+      std::memcpy(&s, rows[i] + offset, sizeof(string_t));
+      if (s.IsInlined()) {
+        continue;
+      }
+      std::memcpy(heap_cursors[i], s.data(), s.size());
+      s.SetPointer(reinterpret_cast<char *>(heap_cursors[i]));
+      heap_cursors[i] += s.size();
+      std::memcpy(rows[i] + offset, &s, sizeof(string_t));
+    }
+  }
+  return status;
 }
 
 void TupleDataCollection::InitScan(TupleDataScanState &state,
@@ -263,44 +317,22 @@ Status TupleDataCollection::PinPageWithHeap(
   return Status::OK();
 }
 
-void TupleDataCollection::GatherRows(const RowPage &page, data_ptr_t page_base,
-                                     idx_t row_idx, idx_t count,
-                                     DataChunk &out,
-                                     data_ptr_t *row_ptrs_out) {
-  (void)page;
+void TupleDataCollection::GatherRows(data_ptr_t page_base, idx_t row_idx,
+                                     idx_t count,
+                                     const std::vector<idx_t> &column_ids,
+                                     DataChunk &out, data_ptr_t *rows) {
   const idx_t row_width = layout_.RowWidth();
-  for (idx_t c = 0; c < layout_.ColumnCount(); c++) {
-    Vector &vec = out.column(c);
-    idx_t offset = layout_.ColumnOffset(c);
-    idx_t width = TypeWidth(layout_.ColumnType(c));
-    bool varsize = TypeIsVarSize(layout_.ColumnType(c));
-    for (idx_t i = 0; i < count; i++) {
-      const_data_ptr_t row = page_base + (row_idx + i) * row_width;
-      if (!layout_.RowIsColumnValid(row, c)) {
-        vec.validity().SetInvalid(i);
-        std::memset(vec.data() + i * width, 0, width);
-        continue;
-      }
-      if (varsize) {
-        string_t s;
-        std::memcpy(&s, row + offset, sizeof(string_t));
-        // Copy through the output vector's heap: the gathered chunk must
-        // stay valid after the scan unpins the heap page.
-        vec.SetString(i, s.View());
-      } else {
-        std::memcpy(vec.data() + i * width, row + offset, width);
-      }
-    }
+  for (idx_t i = 0; i < count; i++) {
+    rows[i] = page_base + (row_idx + i) * row_width;
   }
-  if (row_ptrs_out) {
-    for (idx_t i = 0; i < count; i++) {
-      row_ptrs_out[i] = page_base + (row_idx + i) * row_width;
-    }
+  for (idx_t c : column_ids) {
+    GatherColumn(layout_, c, rows, count, out.column(c));
   }
   out.SetCount(count);
 }
 
 Result<bool> TupleDataCollection::Scan(TupleDataScanState &state,
+                                       const std::vector<idx_t> &column_ids,
                                        DataChunk &out,
                                        data_ptr_t *row_ptrs_out) {
   out.Reset();
@@ -321,7 +353,11 @@ Result<bool> TupleDataCollection::Scan(TupleDataScanState &state,
     SSAGG_RETURN_NOT_OK(PinPageForScan(state));
   }
   idx_t count = std::min<idx_t>(kVectorSize, page.count - state.row_idx);
-  GatherRows(page, state.row_pin.Ptr(), state.row_idx, count, out,
+  if (row_ptrs_out == nullptr) {
+    state.rows.resize(kVectorSize);
+    row_ptrs_out = state.rows.data();
+  }
+  GatherRows(state.row_pin.Ptr(), state.row_idx, count, column_ids, out,
              row_ptrs_out);
   state.row_idx += count;
   return true;

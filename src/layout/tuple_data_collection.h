@@ -19,6 +19,10 @@ namespace ssagg {
 struct TupleDataAppendState {
   std::unordered_map<idx_t, BufferHandle> row_pins;
   std::unordered_map<idx_t, BufferHandle> heap_pins;
+  /// Per-batch scratch of the append calls: each placed row's address (when
+  /// the caller does not ask for them) and its heap write cursor.
+  std::vector<data_ptr_t> rows;
+  std::vector<data_ptr_t> heap_cursors;
 
   void Release() {
     row_pins.clear();
@@ -34,13 +38,19 @@ struct TupleDataPinnedState {
 };
 
 /// Cursor over a TupleDataCollection. Pins one row page (and the heap pages
-/// its rows reference) at a time; gathered string data is copied into the
-/// output chunk so it stays valid after the pins move on.
+/// its rows reference) at a time. Gathered strings are NOT copied: a
+/// non-inlined string_t in the output chunk points into a pinned heap page,
+/// as do the returned row addresses, and both stay valid only until the
+/// next Scan call on this state (which may unpin or, with
+/// destroy_after_scan, destroy the page). Consume or copy them first.
 struct TupleDataScanState {
   idx_t page_idx = 0;
   idx_t row_idx = 0;
   BufferHandle row_pin;
   std::vector<BufferHandle> heap_pins;
+  /// Row addresses of the current chunk when the caller does not ask for
+  /// them.
+  std::vector<data_ptr_t> rows;
   /// Destroy pages once the scan has passed them (frees memory or
   /// temp-file space eagerly).
   bool destroy_after_scan = false;
@@ -65,7 +75,11 @@ class TupleDataCollection {
  public:
   TupleDataCollection(BufferManager &buffer_manager,
                       const TupleDataLayout &layout)
-      : buffer_manager_(buffer_manager), layout_(layout) {}
+      : buffer_manager_(buffer_manager), layout_(layout) {
+    for (idx_t c = 0; c < layout_.ColumnCount(); c++) {
+      all_columns_.push_back(c);
+    }
+  }
 
   TupleDataCollection(const TupleDataCollection &) = delete;
   TupleDataCollection &operator=(const TupleDataCollection &) = delete;
@@ -87,10 +101,26 @@ class TupleDataCollection {
   /// or 0..count-1 if sel is null). The first layout.ColumnCount() columns
   /// of `input` are materialized; the aggregate-state area is
   /// zero-initialized. Row addresses are returned in `row_ptrs_out`
-  /// (indexed by position in sel). The addresses stay valid while `state`
-  /// holds its pins.
+  /// (indexed by position in sel; may be null). The addresses stay valid
+  /// while `state` holds its pins.
+  ///
+  /// The rows and their heap bytes are placed first; the columns are then
+  /// scattered one at a time (ScatterColumn). If placing fails part-way
+  /// (a denied allocation or pin), the rows placed so far are still fully
+  /// written, so the collection stays consistent, and the error returned.
   Status AppendRows(TupleDataAppendState &state, const DataChunk &input,
                     const idx_t *sel, idx_t count, data_ptr_t *row_ptrs_out);
+
+  /// Appends copies of existing rows of the same layout: row
+  /// `src_rows[sel ? sel[i] : i]` becomes one new row, aggregate-state area
+  /// included (one memcpy). The characters of its non-inlined strings are
+  /// copied onto this collection's heap pages and the copy's pointers
+  /// rewritten, so the copy does not reference the source afterwards. The
+  /// source string pointers must be valid (source pages pinned, pointers
+  /// recomputed). Same output and failure contract as AppendRows.
+  Status AppendRowCopies(TupleDataAppendState &state,
+                         const data_ptr_t *src_rows, const idx_t *sel,
+                         idx_t count, data_ptr_t *row_ptrs_out);
 
   /// Initializes a scan. If destroy_after_scan is set, pages are destroyed
   /// as soon as the scan moves past them.
@@ -102,11 +132,21 @@ class TupleDataCollection {
   void PrefetchForScan(idx_t pages);
 
   /// Gathers up to kVectorSize rows into `out` (which must match the layout
-  /// column types). If `row_ptrs_out` is non-null it receives the address
-  /// of each gathered row (valid until the next Scan call on this state).
-  /// Returns false when the collection is exhausted.
-  Result<bool> Scan(TupleDataScanState &state, DataChunk &out,
+  /// column types), which is reset first. Only the layout columns listed
+  /// in `column_ids` are gathered (into the same column index of `out`;
+  /// the other columns' values are not written), so a consumer that reads
+  /// a few columns, or works on the rows directly, pays for nothing else. If `row_ptrs_out` is non-null it
+  /// receives the address of each gathered row. Strings and row addresses
+  /// are valid until the next Scan call on this state (see
+  /// TupleDataScanState). Returns false when the collection is exhausted.
+  Result<bool> Scan(TupleDataScanState &state,
+                    const std::vector<idx_t> &column_ids, DataChunk &out,
                     data_ptr_t *row_ptrs_out = nullptr);
+  /// Scan of every layout column.
+  Result<bool> Scan(TupleDataScanState &state, DataChunk &out,
+                    data_ptr_t *row_ptrs_out = nullptr) {
+    return Scan(state, all_columns_, out, row_ptrs_out);
+  }
 
   /// Moves all pages of `other` into this collection. `other` becomes
   /// empty. Layouts must be identical. Append states of either collection
@@ -191,6 +231,21 @@ class TupleDataCollection {
   /// strings).
   idx_t ComputeRowHeapSize(const DataChunk &input, idx_t row) const;
 
+  /// The placement half of both appends: reserves a row slot for each of
+  /// `count` rows, plus heap_size(i) bytes on one heap page (so a single
+  /// HeapRef covers the row), and writes the row's address to rows[i] and
+  /// its heap write address to heap_cursors[i]. Row count, heap usage and
+  /// HeapRefs are updated as rows are placed; `placed` says how many were
+  /// when an error is returned.
+  template <typename HeapSizeFn>
+  Status PlaceRows(TupleDataAppendState &state, idx_t count,
+                   HeapSizeFn &&heap_size, data_ptr_t *rows,
+                   data_ptr_t *heap_cursors, idx_t &placed);
+  /// Output address array of an append: the caller's, or the state's
+  /// scratch. Also sizes the heap-cursor scratch.
+  data_ptr_t *AppendTargets(TupleDataAppendState &state, idx_t count,
+                            data_ptr_t *row_ptrs_out);
+
   /// Unpins the current scan page, optionally destroying it (and any heap
   /// pages whose last user it was), and advances the cursor.
   void FinishScanPage(TupleDataScanState &state);
@@ -207,12 +262,16 @@ class TupleDataCollection {
   Status PinPageWithHeap(idx_t page_idx, BufferHandle &row_pin,
                          std::vector<BufferHandle> &heap_pins);
 
-  /// Gathers rows [row_idx, row_idx + count) of the pinned page into out.
-  void GatherRows(const RowPage &page, data_ptr_t page_base, idx_t row_idx,
-                  idx_t count, DataChunk &out, data_ptr_t *row_ptrs_out);
+  /// Gathers columns `column_ids` of rows [row_idx, row_idx + count) of
+  /// the pinned page into out; rows[i] receives each row's address.
+  void GatherRows(data_ptr_t page_base, idx_t row_idx, idx_t count,
+                  const std::vector<idx_t> &column_ids, DataChunk &out,
+                  data_ptr_t *rows);
 
   BufferManager &buffer_manager_;
   TupleDataLayout layout_;
+  /// 0..ColumnCount()-1, the column list of a full Scan.
+  std::vector<idx_t> all_columns_;
   std::vector<RowPage> row_pages_;
   std::vector<HeapPage> heap_pages_;
   idx_t count_ = 0;

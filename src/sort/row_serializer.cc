@@ -4,28 +4,12 @@
 
 #include "common/string_type.h"
 #include "compression/codec.h"
+#include "layout/row_kernels.h"
 
 namespace ssagg {
 
 namespace {
 constexpr idx_t kIOBufferSize = 1 << 20;  // 1 MiB buffered I/O
-
-/// Heap bytes of a serialized row (total size of its valid, non-inlined
-/// strings); lengths are read from the fixed part.
-idx_t RowHeapSize(const TupleDataLayout &layout, const_data_ptr_t row) {
-  idx_t total = 0;
-  for (idx_t c : layout.VarSizeColumns()) {
-    if (!layout.RowIsColumnValid(row, c)) {
-      continue;
-    }
-    string_t s;
-    std::memcpy(&s, row + layout.ColumnOffset(c), sizeof(string_t));
-    if (!s.IsInlined()) {
-      total += s.size();
-    }
-  }
-  return total;
-}
 }  // namespace
 
 //===----------------------------------------------------------------------===//
@@ -322,25 +306,19 @@ Result<idx_t> RunReader::ReadBatch(idx_t max_rows,
 
 void RunReader::GatherBatch(const std::vector<data_ptr_t> &rows,
                             DataChunk &out) const {
+  out.Reset();
   for (idx_t c = 0; c < layout_.ColumnCount(); c++) {
-    Vector &vec = out.column(c);
-    idx_t offset = layout_.ColumnOffset(c);
-    idx_t width = TypeWidth(layout_.ColumnType(c));
-    bool varsize = TypeIsVarSize(layout_.ColumnType(c));
-    for (idx_t i = 0; i < rows.size(); i++) {
-      if (!layout_.RowIsColumnValid(rows[i], c)) {
-        vec.validity().SetInvalid(i);
-        std::memset(vec.data() + i * width, 0, width);
-        continue;
-      }
-      if (varsize) {
-        string_t s;
-        std::memcpy(&s, rows[i] + offset, sizeof(string_t));
-        vec.SetString(i, s.View());
-      } else {
-        std::memcpy(vec.data() + i * width, rows[i] + offset, width);
-      }
-    }
+    GatherColumn(layout_, c, rows.data(), rows.size(), out.column(c));
+  }
+  out.SetCount(rows.size());
+}
+
+void RunReader::GatherBatch(const std::vector<data_ptr_t> &rows,
+                            const std::vector<idx_t> &column_ids,
+                            DataChunk &out) const {
+  out.Reset();
+  for (idx_t c : column_ids) {
+    GatherColumn(layout_, c, rows.data(), rows.size(), out.column(c));
   }
   out.SetCount(rows.size());
 }

@@ -108,8 +108,15 @@ class RunReader {
   /// Row pointers are appended to `rows_out`.
   Result<idx_t> ReadBatch(idx_t max_rows, std::vector<data_ptr_t> &rows_out);
 
-  /// Gathers previously read rows into a DataChunk (layout column types).
+  /// Gathers previously read rows into a DataChunk (layout column types),
+  /// which is reset first. Strings are gathered zero-copy (GatherColumn):
+  /// they point into this reader's arena and are valid until the next
+  /// ReadBatch call.
   void GatherBatch(const std::vector<data_ptr_t> &rows, DataChunk &out) const;
+  /// Gathers only the layout columns `column_ids` (into the same column
+  /// index of `out`).
+  void GatherBatch(const std::vector<data_ptr_t> &rows,
+                   const std::vector<idx_t> &column_ids, DataChunk &out) const;
 
   idx_t remaining() const { return remaining_; }
   /// Deletes the run file.

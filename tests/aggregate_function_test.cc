@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 namespace ssagg {
@@ -171,6 +174,75 @@ TEST(AggregateFunctionTest, CombineWithEmptySideIsIdentity) {
     fn.finalize(filled.data(), out, 0);
     EXPECT_DOUBLE_EQ(Value::FromVector(out, 0).GetDouble(), 3.25)
         << AggregateKindName(kind);
+  }
+}
+
+// Phase 2 appends a new group by copying its source row, states included,
+// where it used to combine the source state into a zeroed one. That is exact
+// only if the two are bit-identical for every kind and input type, for
+// states built by updates (NULLs and signed zeros included) and by combines.
+TEST(AggregateFunctionTest, CopiedStateEqualsCombineIntoZero) {
+  constexpr idx_t kValues = 12;
+  const double doubles[kValues] = {-0.0, 0.0,   -1.5, 2.25, -0.0,  1e300,
+                                   -0.0, -1e-300, 0.0, 3.0,  -7.75, -0.0};
+  const int64_t ints[kValues] = {0,  -3, 7, INT32_MIN, INT32_MAX, 0,
+                                 -1, 12, 5, -5,        100,       -100};
+  for (auto type : {LogicalTypeId::kInt32, LogicalTypeId::kDate,
+                    LogicalTypeId::kInt64, LogicalTypeId::kDouble}) {
+    Vector input(type);
+    for (idx_t i = 0; i < kValues; i++) {
+      if (type == LogicalTypeId::kDouble) {
+        input.SetValue<double>(i, doubles[i]);
+      } else if (type == LogicalTypeId::kInt64) {
+        input.SetValue<int64_t>(i, ints[i] * 1000003);
+      } else {
+        input.SetValue<int32_t>(i, static_cast<int32_t>(ints[i]));
+      }
+      if (i % 4 == 3) {
+        input.validity().SetInvalid(i);
+      }
+    }
+    for (auto kind : {AggregateKind::kCountStar, AggregateKind::kCount,
+                      AggregateKind::kSum, AggregateKind::kMin,
+                      AggregateKind::kMax, AggregateKind::kAvg,
+                      AggregateKind::kAnyValue}) {
+      SCOPED_TRACE(std::string(AggregateKindName(kind)) + " over " +
+                   TypeName(type));
+      auto fn_res = GetAggregateFunction(kind, type);
+      ASSERT_TRUE(fn_res.ok()) << fn_res.status().ToString();
+      const AggregateFunction fn = fn_res.value();
+      const Vector *arg = kind == AggregateKind::kCountStar ? nullptr : &input;
+      // Source states: empty, each input prefix (the first is a lone -0.0
+      // or 0), only the NULL rows, and a combine of two partial states.
+      std::vector<std::vector<data_t>> sources;
+      sources.emplace_back(fn.state_width, 0);
+      for (idx_t n = 1; n <= kValues; n++) {
+        std::vector<data_t> state(fn.state_width, 0);
+        std::vector<data_ptr_t> states(n, state.data());
+        fn.update(arg, nullptr, states.data(), n);
+        sources.push_back(state);
+      }
+      {
+        std::vector<data_t> state(fn.state_width, 0);
+        std::vector<idx_t> null_rows = {3, 7, 11};
+        std::vector<data_ptr_t> states(null_rows.size(), state.data());
+        fn.update(arg, null_rows.data(), states.data(), null_rows.size());
+        sources.push_back(state);
+      }
+      {
+        std::vector<data_t> a = sources[4];
+        fn.combine(sources[kValues].data(), a.data());
+        sources.push_back(a);
+      }
+      for (idx_t s = 0; s < sources.size(); s++) {
+        std::vector<data_t> combined(fn.state_width, 0);
+        fn.combine(sources[s].data(), combined.data());
+        EXPECT_EQ(std::memcmp(combined.data(), sources[s].data(),
+                              fn.state_width),
+                  0)
+            << "source state " << s;
+      }
+    }
   }
 }
 

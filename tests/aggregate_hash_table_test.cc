@@ -72,7 +72,7 @@ std::map<GroupKey, std::pair<double, int64_t>> ScanSumCount(
       if (!more.ok() || !more.value()) {
         break;
       }
-      ht.FinalizeChunk(layout_chunk, ptrs.data(), out);
+      ht.FinalizeChunk(ptrs.data(), layout_chunk.size(), out);
       for (idx_t i = 0; i < out.size(); i++) {
         GroupKey key;
         if (out.column(0).validity().RowIsValid(i)) {
@@ -135,7 +135,7 @@ TEST_F(AggregateHashTableTest, BasicSumCount) {
       if (!more.value()) {
         break;
       }
-      ht->FinalizeChunk(layout_chunk, ptrs.data(), out);
+      ht->FinalizeChunk(ptrs.data(), layout_chunk.size(), out);
       for (idx_t i = 0; i < out.size(); i++) {
         results[out.column(0).GetValue<int64_t>(i)] = {
             out.column(1).GetValue<double>(i),
@@ -179,7 +179,7 @@ TEST_F(AggregateHashTableTest, StickyAnyValueStrings) {
       if (!more.value()) {
         break;
       }
-      ht->FinalizeChunk(layout_chunk, ptrs.data(), out);
+      ht->FinalizeChunk(ptrs.data(), layout_chunk.size(), out);
       for (idx_t i = 0; i < out.size(); i++) {
         names[out.column(0).GetValue<int64_t>(i)] =
             out.column(1).GetString(i).ToString();
@@ -240,7 +240,7 @@ TEST_F(AggregateHashTableTest, SumSkipsNullInputs) {
       if (!more.value()) {
         break;
       }
-      ht->FinalizeChunk(layout_chunk, ptrs.data(), out);
+      ht->FinalizeChunk(ptrs.data(), layout_chunk.size(), out);
       ASSERT_EQ(out.size(), 1u);
       EXPECT_DOUBLE_EQ(out.column(1).GetValue<double>(0), 12.0);
     }
@@ -426,7 +426,7 @@ TEST_F(AggregateHashTableTest, CombineSourceChunkMergesStates) {
       if (!more.value()) {
         break;
       }
-      target->FinalizeChunk(layout_chunk, ptrs.data(), out);
+      target->FinalizeChunk(ptrs.data(), layout_chunk.size(), out);
       for (idx_t i = 0; i < out.size(); i++) {
         results[out.column(0).GetValue<int64_t>(i)] = {
             out.column(1).GetValue<double>(i),
@@ -495,7 +495,7 @@ TEST_F(AggregateHashTableTest, LargeRandomAggregationMatchesReference) {
       if (!more.value()) {
         break;
       }
-      ht->FinalizeChunk(layout_chunk, ptrs.data(), out);
+      ht->FinalizeChunk(ptrs.data(), layout_chunk.size(), out);
       for (idx_t i = 0; i < out.size(); i++) {
         int64_t key = out.column(0).GetValue<int64_t>(i);
         auto &ref = reference.at(key);

@@ -111,6 +111,49 @@ TEST_F(BaselinesTest, SortAggregationManyRuns) {
   CheckAggregatedResult(collector, kRows, kGroups);
 }
 
+TEST_F(BaselinesTest, SortAggregationNullInputsAcrossMergeBatches) {
+  // One run far longer than a merge batch: each source chunk is re-gathered
+  // per batch, and a NULL of one batch must not stay NULL in the next.
+  BufferManager bm(temp_dir_, 512 * kPageSize);
+  TaskExecutor executor(1);
+  constexpr idx_t kRows = 8000;
+  constexpr idx_t kGroups = 4000;
+  RangeSource source(
+      {LogicalTypeId::kInt64, LogicalTypeId::kInt64}, kRows,
+      [](DataChunk &chunk, idx_t start, idx_t count) {
+        for (idx_t i = 0; i < count; i++) {
+          idx_t row = start + i;
+          auto key = static_cast<int64_t>(row % kGroups);
+          chunk.column(0).SetValue<int64_t>(i, key);
+          chunk.column(1).SetValue<int64_t>(i, static_cast<int64_t>(row));
+          if (key % 3 == 0) {
+            chunk.column(1).validity().SetInvalid(i);
+          }
+        }
+        return Status::OK();
+      });
+  ExternalSortAggregate::Config config;
+  config.temp_directory = temp_dir_;
+  auto agg = ExternalSortAggregate::Create(
+                 bm, {LogicalTypeId::kInt64, LogicalTypeId::kInt64}, {0},
+                 {{AggregateKind::kSum, 1}}, config)
+                 .MoveValue();
+  ASSERT_TRUE(executor.RunPipeline(source, *agg).ok());
+  MaterializedCollector collector;
+  ASSERT_TRUE(agg->EmitResults(collector, executor).ok());
+  ASSERT_EQ(collector.RowCount(), kGroups);
+  idx_t wrong = 0;
+  for (const auto &row : collector.rows()) {
+    const int64_t key = row[0].GetInt64();
+    const int64_t sum = 2 * key + static_cast<int64_t>(kGroups);
+    const bool right =
+        key % 3 == 0 ? row[1].IsNull()
+                     : !row[1].IsNull() && row[1].GetInt64() == sum;
+    wrong += right ? 0 : 1;
+  }
+  EXPECT_EQ(wrong, 0u);
+}
+
 TEST_F(BaselinesTest, SortAggregationStringKeys) {
   BufferManager bm(temp_dir_, 512 * kPageSize);
   TaskExecutor executor(2);

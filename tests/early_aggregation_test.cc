@@ -5,7 +5,10 @@
 
 #include <unistd.h>
 
+#include <cstdio>
+#include <fstream>
 #include <map>
+#include <sstream>
 
 #include "ssagg/ssagg.h"
 
@@ -94,6 +97,101 @@ TEST_F(EarlyAggregationTest, ReducesIntermediatesAndIO) {
   // temporary-file high-water mark.
   EXPECT_LT(on.stats.materialized_rows, off.stats.materialized_rows);
   EXPECT_LT(on.snapshot.temp_file_peak, off.snapshot.temp_file_peak);
+}
+
+// The early-aggregation compactor re-aggregates a partition in a phase-2
+// table and must honour the query's reset_fill_ratio like every other
+// table: with a lower ratio it grows its pointer table further before the
+// same groups fit. Read from the trace: the largest ht.resize inside an
+// early_compact span.
+uint64_t LargestCompactorCapacity(double reset_fill_ratio,
+                                  const std::string &temp_dir) {
+  FlightRecorder &recorder = FlightRecorder::Global();
+  const std::string saved_path = recorder.trace_path();
+  const std::string path = temp_dir + "/compactor_trace.json";
+  recorder.SetTracePath(path);
+  {
+    BufferManager bm(temp_dir, 48 * kPageSize);
+    TaskExecutor executor(1);  // one thread: one trace track
+    constexpr idx_t kKeyCount = 20000;
+    RangeSource source({LogicalTypeId::kInt64, LogicalTypeId::kInt64}, 600000,
+                       [](DataChunk &chunk, idx_t start, idx_t count) {
+                         for (idx_t i = 0; i < count; i++) {
+                           idx_t row = start + i;
+                           chunk.column(0).SetValue<int64_t>(
+                               i, static_cast<int64_t>(HashUint64(row) %
+                                                       kKeyCount));
+                           chunk.column(1).SetValue<int64_t>(i, 1);
+                         }
+                         return Status::OK();
+                       });
+    CountingCollector collector;
+    HashAggregateConfig config;
+    config.phase1_capacity = 4096;
+    config.radix_bits = 3;
+    config.strategy = AggregateStrategy::kRadixMerge;
+    config.early_aggregation = EarlyAggMode::kOn;
+    config.early_aggregation_ratio = 0.3;
+    config.reset_fill_ratio = reset_fill_ratio;
+    auto stats = RunGroupedAggregation(bm, source, {0},
+                                       {{AggregateKind::kSum, 1}}, collector,
+                                       executor, config);
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_GT(stats.ok() ? stats.value().early_compactions : 0, 0u);
+    EXPECT_EQ(collector.TotalRows(), kKeyCount);
+  }
+  recorder.SetTracePath(saved_path);
+
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  auto doc = Json::Parse(text.str());
+  EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+  if (!doc.ok() || doc.value().Find("traceEvents") == nullptr) {
+    return 0;
+  }
+  struct Span {
+    uint64_t tid, begin, end, arg;
+  };
+  std::vector<Span> compactions;
+  std::vector<Span> resizes;
+  for (const Json &event : doc.value().Find("traceEvents")->elements()) {
+    if (event.Find("ph")->AsString() != "X") {
+      continue;
+    }
+    const std::string &name = event.Find("name")->AsString();
+    if (name != "early_compact" && name != "ht.resize") {
+      continue;
+    }
+    uint64_t ts = event.Find("ts")->AsUint();
+    Span span{event.Find("tid")->AsUint(), ts,
+              ts + event.Find("dur")->AsUint(),
+              event.Find("args")->Find("v")->AsUint()};
+    (name == "early_compact" ? compactions : resizes).push_back(span);
+  }
+  EXPECT_FALSE(compactions.empty());
+  uint64_t largest = 0;
+  for (const Span &resize : resizes) {
+    for (const Span &compaction : compactions) {
+      if (resize.tid == compaction.tid && compaction.begin <= resize.begin &&
+          resize.end <= compaction.end) {
+        largest = std::max(largest, resize.arg);
+      }
+    }
+  }
+  return largest;
+}
+
+TEST_F(EarlyAggregationTest, CompactorHonoursResetFillRatio) {
+  uint64_t at_default = LargestCompactorCapacity(kHashTableResetFillRatio,
+                                                 temp_dir_);
+  uint64_t at_eighth = LargestCompactorCapacity(0.125, temp_dir_);
+  ASSERT_GT(at_default, 0u) << "the compactor was expected to grow";
+  // 1/8 instead of 2/3 fill needs about 5x the capacity for the same groups.
+  EXPECT_GE(at_eighth, 4 * at_default)
+      << "largest compactor table: " << at_default << " entries at 2/3, "
+      << at_eighth << " at 1/8";
 }
 
 TEST_F(EarlyAggregationTest, NoOpWithAmpleMemory) {

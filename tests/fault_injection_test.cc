@@ -10,6 +10,7 @@
 
 #include "buffer/buffer_manager.h"
 #include "common/file_system.h"
+#include "core/physical_hash_aggregate.h"
 #include "core/run_aggregation.h"
 #include "execution/collectors.h"
 #include "execution/range_source.h"
@@ -524,6 +525,126 @@ TEST_F(FaultSweepTest, CombinedIoAndMemorySweep) {
 TEST_F(FaultSweepTest, EveryAsyncIoFailureDegradesToCleanStatus) {
   Sweep(kFaultAsyncSites, "async");
 }
+
+// Phase 2 under allocation failure, under both merge plans. Phase 1 is
+// driven by hand through two sink states fed alternately from this thread,
+// so central has two thread tables to merge and every run performs the
+// same operation sequence; the injector is armed only once phase 1 is
+// done, so every swept operation is a phase-2 one: the row-copy appends of
+// new groups into the merge and partition tables, their page pins and
+// table resizes, and the emit. Every k must fail cleanly with nothing
+// leaked, and k = N+1 must reproduce the learning run bit for bit.
+class Phase2FaultSweepTest
+    : public ::testing::TestWithParam<AggregateStrategy> {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "ssagg_phase2_sweep_" +
+           std::to_string(::getpid()) + "_" +
+           std::to_string(static_cast<int>(GetParam()));
+    (void)FileSystem::Default().CreateDirectories(dir_);
+  }
+
+  struct SweepRun {
+    Status status;
+    std::vector<std::string> rows;
+  };
+  SweepRun RunOnce(FaultInjector &injector) {
+    SweepRun run;
+    {
+      BufferManager bm(dir_, 256 * kPageSize);
+      TaskExecutor executor(1);
+      HashAggregateConfig config;
+      config.phase1_capacity = 1024;
+      config.radix_bits = 2;
+      config.strategy = GetParam();
+      // The sample sees every group repeat, so central sizes its tables
+      // for kGroups.
+      config.planner_sample_rows = 4 * kVectorSize;
+      auto agg = PhysicalHashAggregate::Create(bm, SourceTypes(), {0},
+                                               TestAggregates(), config)
+                     .MoveValue();
+      auto first = agg->InitLocal().MoveValue();
+      auto second = agg->InitLocal().MoveValue();
+      DataChunk chunk(SourceTypes());
+      for (idx_t c = 0; c < kChunks; c++) {
+        chunk.Reset();
+        for (idx_t i = 0; i < kVectorSize; i++) {
+          // The two states share half their groups: the merge both
+          // combines into existing groups and copies new ones, whose
+          // labels need fresh heap pages in the target.
+          idx_t row = c * kVectorSize + i;
+          auto key = static_cast<int64_t>(row % kGroups + c % 2 * kGroups / 2);
+          chunk.column(0).SetValue<int64_t>(i, key);
+          chunk.column(1).SetValue<int64_t>(i, static_cast<int64_t>(row));
+          chunk.column(2).SetString(
+              i, std::string(300, 'x') + std::to_string(key));
+        }
+        chunk.SetCount(kVectorSize);
+        Status sunk = agg->Sink(chunk, c % 2 ? *second : *first);
+        EXPECT_TRUE(sunk.ok()) << sunk.ToString();
+      }
+      EXPECT_TRUE(agg->Combine(*first).ok());
+      EXPECT_TRUE(agg->Combine(*second).ok());
+      EXPECT_EQ(agg->stats().planner.strategy, GetParam());
+
+      bm.SetFaultInjector(&injector);
+      MaterializedCollector collector;
+      run.status = agg->EmitResults(collector, executor);
+      bm.SetFaultInjector(nullptr);
+      if (run.status.ok()) {
+        run.rows = CanonicalRows(collector);
+      }
+      agg.reset();
+      EXPECT_EQ(bm.PinnedBufferCount(), 0u) << "leaked pins";
+      EXPECT_EQ(bm.temp_files().UsedSlots(), 0u) << "leaked temp slots";
+      EXPECT_EQ(bm.memory_used(), 0u) << "leaked memory charge";
+    }
+    return run;
+  }
+
+  static constexpr idx_t kChunks = 8;
+  static constexpr idx_t kGroups = 3000;
+  std::string dir_;
+};
+
+TEST_P(Phase2FaultSweepTest, EveryAllocationFailureDegradesToCleanStatus) {
+  FaultInjector injector;
+  FaultInjector::Config config;
+  config.site_mask = kFaultMemorySites;
+  injector.Reset(config);
+  SweepRun reference = RunOnce(injector);
+  ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
+  ASSERT_EQ(reference.rows.size(), kGroups + kGroups / 2);
+  const idx_t total_ops = injector.ops_seen();
+  ASSERT_GT(total_ops, 0u);
+
+  for (idx_t k = 1; k <= total_ops; k++) {
+    SCOPED_TRACE("fault at phase-2 memory operation #" + std::to_string(k) +
+                 " of " + std::to_string(total_ops));
+    config.fail_at = k;
+    injector.Reset(config);
+    SweepRun run = RunOnce(injector);
+    ASSERT_EQ(injector.faults_injected(), 1u);
+    EXPECT_FALSE(run.status.ok());
+    EXPECT_EQ(run.status.code(), StatusCode::kOutOfMemory)
+        << run.status.ToString();
+  }
+
+  config.fail_at = total_ops + 1;
+  injector.Reset(config);
+  SweepRun clean = RunOnce(injector);
+  ASSERT_TRUE(clean.status.ok()) << clean.status.ToString();
+  EXPECT_EQ(injector.faults_injected(), 0u);
+  EXPECT_EQ(clean.rows, reference.rows);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Plans, Phase2FaultSweepTest,
+    ::testing::Values(AggregateStrategy::kCentralMerge,
+                      AggregateStrategy::kRadixMerge),
+    [](const ::testing::TestParamInfo<AggregateStrategy> &info) {
+      return std::string(AggregateStrategyName(info.param));
+    });
 
 //===----------------------------------------------------------------------===//
 // Service-level fault sweeps (admission + grant grow/shrink/release)

@@ -215,6 +215,48 @@ TEST_P(HashAggregateE2ETest, EmptyInput) {
   EXPECT_EQ(collector.RowCount(), 0u);
 }
 
+// An emitted partition spans several output chunks; a NULL result in one
+// chunk must not mark the same row position NULL in the next.
+TEST_P(HashAggregateE2ETest, NullResultsStayInTheirOwnChunk) {
+  constexpr idx_t kGroups = 10000;
+  constexpr idx_t kRows = 3 * kGroups;
+  BufferManager bm(temp_dir_, 512 * kPageSize);
+  TaskExecutor executor(Threads());
+  // Even keys only ever see NULL values, so their SUM is NULL.
+  RangeSource source(
+      {LogicalTypeId::kInt64, LogicalTypeId::kInt64}, kRows,
+      [](DataChunk &chunk, idx_t start, idx_t count) {
+        for (idx_t i = 0; i < count; i++) {
+          idx_t row = start + i;
+          int64_t key = static_cast<int64_t>(row % kGroups);
+          chunk.column(0).SetValue<int64_t>(i, key);
+          chunk.column(1).SetValue<int64_t>(i, static_cast<int64_t>(row));
+          if (key % 2 == 0) {
+            chunk.column(1).validity().SetInvalid(i);
+          }
+        }
+        return Status::OK();
+      });
+  MaterializedCollector collector;
+  HashAggregateConfig config;
+  config.radix_bits = 1;  // ~5000 groups, three chunks, per partition
+  auto stats = RunGroupedAggregation(bm, source, {0},
+                                     {{AggregateKind::kSum, 1}}, collector,
+                                     executor, config);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_EQ(collector.RowCount(), kGroups);
+  idx_t wrong = 0;
+  for (const auto &row : collector.rows()) {
+    const int64_t key = row[0].GetInt64();
+    const int64_t sum = 3 * key + 3 * static_cast<int64_t>(kGroups);
+    const bool right =
+        key % 2 == 0 ? row[1].IsNull()
+                     : !row[1].IsNull() && row[1].GetInt64() == sum;
+    wrong += right ? 0 : 1;
+  }
+  EXPECT_EQ(wrong, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, HashAggregateE2ETest,
                          ::testing::Values(1, 2, 4));
 

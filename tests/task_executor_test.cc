@@ -95,6 +95,26 @@ TEST(TaskExecutorTest, RunTasksExecutesEachOnce) {
   }
 }
 
+// Phase 2 runs through RunTasks: its tasks must show up in the executor's
+// time ledger, inside the worker time.
+TEST(TaskExecutorTest, RunTasksCountsTaskAndWorkerSeconds) {
+  TaskExecutor executor(2);
+  std::vector<std::function<Status()>> tasks;
+  for (int i = 0; i < 4; i++) {
+    tasks.push_back([]() {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      return Status::OK();
+    });
+  }
+  ASSERT_TRUE(executor.RunTasks(tasks).ok());
+  ExecutorStats stats = executor.stats();
+  EXPECT_EQ(stats.tasks, 4u);
+  // Four sleeps of at least 20 ms each.
+  EXPECT_GE(stats.task_seconds, 0.079);
+  EXPECT_GE(stats.worker_seconds, stats.task_seconds);
+  EXPECT_EQ(stats.sink_seconds, 0.0);
+}
+
 TEST(TaskExecutorTest, RunTasksPropagatesFirstError) {
   TaskExecutor executor(4);
   std::vector<std::function<Status()>> tasks;
