@@ -17,9 +17,10 @@ when present, give the per-layer metrics. Runs of one workload must share a
 host fingerprint, and a run whose results were not all correct is refused:
 a snapshot only summarizes clean runs.
 
-Two snapshots are compared with scripts/bench_report.py, e.g.
+Two snapshots are compared with scripts/bench_report.py, whose gate fails
+only on an end-to-end regression beyond its BENCHMARK.json bound, e.g.
   scripts/bench_report.py OLD/BENCH_join_spill.json BENCH_join_spill.json \\
-      --fail-above 24
+      --gate BENCHMARK.json
 """
 
 import argparse

@@ -45,7 +45,9 @@
 #
 # The static-analysis half of the concurrency gate is scripts/ssagg_analyze.py
 # (DESIGN.md section 14): --analyze-only proves the analyzer against its
-# canary corpus, then runs it over the tree. The runtime half of the lock
+# canary corpus, then runs it over the tree; it also self-tests the
+# direction-aware performance gate of scripts/bench_report.py --gate on
+# synthetic snapshots. The runtime half of the lock
 # hierarchy is the debug lock-rank checker (SSAGG_LOCK_RANK_CHECKS), which
 # the sanitizer builds below enable automatically — an out-of-hierarchy
 # acquisition aborts the stress/soak tests instead of deadlocking them.
@@ -290,6 +292,8 @@ if [[ "$MODE" == "--analyze-only" ]]; then
   python3 scripts/ssagg_analyze.py --self-test
   echo "=== ssagg-analyze (lock hierarchy + Status/RAII flow) ==="
   python3 scripts/ssagg_analyze.py
+  echo "=== bench_report.py gate self-test (synthetic snapshots) ==="
+  python3 scripts/bench_report.py --self-test
   echo "all checks passed"
   exit 0
 fi

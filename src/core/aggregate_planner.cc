@@ -6,20 +6,13 @@
 #include <cstdlib>
 
 #include "common/hash.h"
+#include "core/salted_pointer_table.h"
 #include "observe/flight_recorder.h"
 #include "observe/metrics.h"
 
 namespace ssagg {
 
 namespace {
-
-idx_t NextPowerOfTwo(idx_t v) {
-  idx_t p = 1;
-  while (p < v) {
-    p <<= 1;
-  }
-  return p;
-}
 
 /// Inverts the uniform-occupancy expectation d = D * (1 - exp(-m/D)) for D:
 /// with m sampled rows drawn from D equally likely groups, d is the

@@ -1,5 +1,7 @@
 #include "core/aggregate_row_layout.h"
 
+#include "common/hash.h"
+
 namespace ssagg {
 
 Result<AggregateRowLayout> AggregateRowLayout::Build(
@@ -68,6 +70,28 @@ std::vector<LogicalTypeId> AggregateRowLayout::OutputTypes() const {
     types.push_back(agg.function.result_type);
   }
   return types;
+}
+
+hash_t *AggregateRowLayout::FillLayoutChunk(const DataChunk &input,
+                                            DataChunk &layout_chunk) const {
+  const idx_t count = input.size();
+  // The int64 hash column is bit-identical to hash_t: hash straight into it.
+  static_assert(sizeof(hash_t) == sizeof(int64_t));
+  auto *hashes =
+      reinterpret_cast<hash_t *>(layout_chunk.column(hash_column).data());
+  ChunkHash(input, group_columns, hashes);
+  for (idx_t g = 0; g < group_count; g++) {
+    CopyVectorShallow(input.column(group_columns[g]), layout_chunk.column(g),
+                      count);
+  }
+  for (const auto &agg : aggregates) {
+    if (agg.sticky) {
+      CopyVectorShallow(input.column(agg.request.input_column),
+                        layout_chunk.column(agg.layout_column), count);
+    }
+  }
+  layout_chunk.SetCount(count);
+  return hashes;
 }
 
 }  // namespace ssagg

@@ -40,6 +40,12 @@ struct AggregateRowLayout {
 
   /// Output chunk types: group columns, then one result per aggregate.
   std::vector<LogicalTypeId> OutputTypes() const;
+
+  /// Fills the layout-shaped `layout_chunk` from an input chunk: copies the
+  /// group columns and sticky payloads, hashes the group columns into the
+  /// hash column and sets the count. Returns the hash column as hash_t.
+  hash_t *FillLayoutChunk(const DataChunk &input,
+                          DataChunk &layout_chunk) const;
 };
 
 }  // namespace ssagg

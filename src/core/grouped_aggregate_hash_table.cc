@@ -52,10 +52,9 @@ Result<std::unique_ptr<GroupedAggregateHashTable>>
 GroupedAggregateHashTable::Create(BufferManager &buffer_manager,
                                   const AggregateRowLayout &row_layout,
                                   Config config) {
-  if (!IsPowerOfTwo(config.capacity) ||
-      config.capacity > (idx_t(1) << kMaxHashTableBits)) {
+  if (!IsPowerOfTwo(config.capacity)) {
     return Status::InvalidArgument(
-        "hash table capacity must be a power of two <= 2^24");
+        "hash table capacity must be a power of two");
   }
   if (config.radix_bits > kMaxRadixBits) {
     return Status::InvalidArgument("too many radix bits");
@@ -71,14 +70,11 @@ Status GroupedAggregateHashTable::Initialize(AggregateRowLayout row_layout) {
 
   data_ = std::make_unique<PartitionedTupleData>(
       buffer_manager_, row_layout_.layout, config_.radix_bits);
-  capacity_ = config_.capacity;
-  mask_ = capacity_ - 1;
-  SSAGG_ASSIGN_OR_RETURN(entries_alloc_,
-                         buffer_manager_.AllocateNonPaged(capacity_ * 8));
-  std::memset(entries_alloc_.data(), 0, capacity_ * 8);
+  SSAGG_RETURN_NOT_OK(table_.Allocate(buffer_manager_, config_.capacity));
 
   append_chunk_.Initialize(row_layout_.layout.Types());
-  hashes_.resize(kVectorSize);
+  hashes_ = reinterpret_cast<hash_t *>(
+      append_chunk_.column(row_layout_.hash_column).data());
   row_ptrs_.resize(kVectorSize);
   state_ptrs_.resize(kVectorSize);
   sel_scratch_.resize(kVectorSize);
@@ -113,12 +109,13 @@ Status GroupedAggregateHashTable::FindOrCreateGroups(
     const DataChunk &layout_chunk, const hash_t *hashes, idx_t start,
     idx_t count, const data_ptr_t *src_rows) {
   SSAGG_DASSERT(start + count <= kVectorSize);
-  uint64_t *table = entries();
+  uint64_t *table = table_.entries();
+  idx_t mask = table_.mask();
   const bool use_salt = config_.use_salt;
 
   // All slot indices and salts are computed up front, once.
   for (idx_t r = start; r < start + count; r++) {
-    ht_offsets_[r] = hashes[r] & mask_;
+    ht_offsets_[r] = hashes[r] & mask;
     salts_[r] = ExtractSalt(hashes[r]);
   }
   remaining_sel_.InitRange(start, count);
@@ -133,21 +130,18 @@ Status GroupedAggregateHashTable::FindOrCreateGroups(
     // fixed-size (phase-1) table relies on the caller batching by
     // ResetBudget(), which the per-claim assert below re-checks.
     if (config_.resizable) {
-      while (count_ + remaining >= capacity_ * config_.reset_fill_ratio) {
-        if (capacity_ >= (idx_t(1) << kMaxHashTableBits)) {
-          if (count_ + remaining >= capacity_) {
-            return Status::OutOfMemory(
-                "hash table cannot grow beyond 2^24 entries; increase radix "
-                "bits");
-          }
-          break;
+      while (count_ + remaining >=
+             table_.capacity() * config_.reset_fill_ratio) {
+        if (table_.AtMaxCapacity() && count_ + remaining < table_.capacity()) {
+          break;  // past the fill ratio, but the round still fits
         }
-        SSAGG_RETURN_NOT_OK(Resize());
-        table = entries();
+        SSAGG_RETURN_NOT_OK(Resize());  // fails at the capacity cap
+        table = table_.entries();
+        mask = table_.mask();
         // The mask changed: every unresolved row restarts its probe.
         for (idx_t i = 0; i < remaining; i++) {
           const idx_t r = remaining_sel_[i];
-          ht_offsets_[r] = hashes[r] & mask_;
+          ht_offsets_[r] = hashes[r] & mask;
         }
       }
     }
@@ -158,7 +152,7 @@ Status GroupedAggregateHashTable::FindOrCreateGroups(
     // central tables are sized to land here at low cardinality), so
     // the pass would be pure issue overhead and is skipped.
     const idx_t *sel = remaining_sel_.data();
-    if (capacity_ * sizeof(uint64_t) > idx_t{64} * 1024) {
+    if (table_.capacity() * sizeof(uint64_t) > idx_t{64} * 1024) {
       for (idx_t i = 0; i < remaining; i++) {
         PrefetchRead(&table[ht_offsets_[sel[i]]]);
       }
@@ -180,7 +174,7 @@ Status GroupedAggregateHashTable::FindOrCreateGroups(
         stats_.probe_steps++;
         const uint64_t entry = table[idx];
         if (entry == 0) {
-          SSAGG_ASSERT(count_ < capacity_);
+          SSAGG_ASSERT(count_ < table_.capacity());
           table[idx] = MakeClaimedEntry(salt);
           count_++;
           new_group_sel_.Append(r);
@@ -190,7 +184,7 @@ Status GroupedAggregateHashTable::FindOrCreateGroups(
           compare_sel_.Append(r);
           break;
         }
-        idx = (idx + 1) & mask_;
+        idx = (idx + 1) & mask;
       }
       ht_offsets_[r] = idx;
     }
@@ -244,7 +238,7 @@ Status GroupedAggregateHashTable::FindOrCreateGroups(
       // mismatches advance one slot and go into the next round.
       for (idx_t i = 0; i < no_match_sel_.size(); i++) {
         const idx_t r = no_match_sel_[i];
-        ht_offsets_[r] = (ht_offsets_[r] + 1) & mask_;
+        ht_offsets_[r] = (ht_offsets_[r] + 1) & mask;
       }
     }
     remaining_sel_.Swap(no_match_sel_);
@@ -350,28 +344,7 @@ Status GroupedAggregateHashTable::AddChunk(const DataChunk &input) {
       direct_ptrs_.shrink_to_fit();
     }
   }
-  // Hash the group columns.
-  ChunkHash(input, row_layout_.group_columns, hashes_.data());
-
-  // Assemble the layout-shaped chunk: group columns and sticky payloads are
-  // referenced shallowly; the hash column is filled from hashes_.
-  for (idx_t g = 0; g < row_layout_.group_count; g++) {
-    CopyVectorShallow(input.column(row_layout_.group_columns[g]),
-                      append_chunk_.column(g), count);
-  }
-  // hash_t and the layout's int64 hash column are bit-identical: one
-  // memcpy, no per-row conversion loop.
-  static_assert(sizeof(hash_t) == sizeof(int64_t));
-  std::memcpy(append_chunk_.column(row_layout_.hash_column).data(),
-              hashes_.data(), count * sizeof(hash_t));
-  append_chunk_.column(row_layout_.hash_column).validity().Reset();
-  for (const auto &agg : row_layout_.aggregates) {
-    if (agg.sticky) {
-      CopyVectorShallow(input.column(agg.request.input_column),
-                        append_chunk_.column(agg.layout_column), count);
-    }
-  }
-  append_chunk_.SetCount(count);
+  hashes_ = row_layout_.FillLayoutChunk(input, append_chunk_);
 
   // Process in sub-batches so a single chunk can never overflow a small
   // fixed-size (phase-1) table: each sub-batch creates at most
@@ -392,7 +365,7 @@ Status GroupedAggregateHashTable::AddChunk(const DataChunk &input) {
       batch = std::min(batch, budget);
     }
     SSAGG_RETURN_NOT_OK(
-        FindOrCreateGroups(append_chunk_, hashes_.data(), done, batch));
+        FindOrCreateGroups(append_chunk_, hashes_, done, batch));
 
     // Fold the inputs of rows [done, done + batch) into the group states.
     for (const auto &agg : row_layout_.aggregates) {
@@ -467,7 +440,7 @@ void GroupedAggregateHashTable::Stats::Merge(const Stats &other) {
 
 void GroupedAggregateHashTable::ClearPointerTable() {
   TraceInstant("ht.reset", "agg", count_);
-  std::memset(entries_alloc_.data(), 0, capacity_ * 8);
+  table_.Clear();
   count_ = 0;
   stats_.resets++;
   if (direct_enabled_) {
@@ -481,35 +454,17 @@ void GroupedAggregateHashTable::ClearPointerTable() {
 
 Status GroupedAggregateHashTable::Resize() {
   SSAGG_ASSERT(config_.resizable);
-  TraceSpan span("ht.resize", "agg", capacity_ * 2);
+  TraceSpan span("ht.resize", "agg", table_.capacity() * 2);
   // In a resizable table the pointer table is never reset, so every
   // materialized row is reachable and carries its hash: rebuild by visiting
   // all rows.
-  idx_t new_capacity = capacity_ * 2;
-  if (new_capacity > (idx_t(1) << kMaxHashTableBits)) {
-    return Status::OutOfMemory(
-        "hash table cannot grow beyond 2^24 entries; increase radix bits");
-  }
-  SSAGG_ASSIGN_OR_RETURN(auto new_alloc,
-                         buffer_manager_.AllocateNonPaged(new_capacity * 8));
-  std::memset(new_alloc.data(), 0, new_capacity * 8);
-  entries_alloc_ = std::move(new_alloc);
-  capacity_ = new_capacity;
-  mask_ = new_capacity - 1;
+  SSAGG_RETURN_NOT_OK(table_.Allocate(buffer_manager_, table_.capacity() * 2));
   stats_.resizes++;
-
-  uint64_t *table = entries();
-  const idx_t hash_offset = row_layout_.hash_offset;
-  const idx_t mask = mask_;
   for (idx_t p = 0; p < data_->PartitionCount(); p++) {
     SSAGG_RETURN_NOT_OK(data_->ForEachRowInPartition(p, [&](data_ptr_t row) {
       hash_t h;
-      std::memcpy(&h, row + hash_offset, sizeof(hash_t));
-      idx_t idx = h & mask;
-      while (table[idx] != 0) {
-        idx = (idx + 1) & mask;
-      }
-      table[idx] = MakeEntry(row, ExtractSalt(h));
+      std::memcpy(&h, row + row_layout_.hash_offset, sizeof(hash_t));
+      table_.Insert(row, h);
     }));
   }
   return Status::OK();

@@ -8,6 +8,7 @@
 #include "common/hash.h"
 #include "core/aggregate_row_layout.h"
 #include "core/row_matcher.h"
+#include "core/salted_pointer_table.h"
 #include "layout/partitioned_tuple_data.h"
 
 namespace ssagg {
@@ -108,7 +109,7 @@ class GroupedAggregateHashTable {
 
   /// Phase-1 check: the table must be reset once two-thirds full.
   bool NeedsReset() const {
-    return count_ >= capacity_ * config_.reset_fill_ratio;
+    return count_ >= table_.capacity() * config_.reset_fill_ratio;
   }
 
   /// Resets the pointer table: the 64-bit entry array is cleared while the
@@ -119,7 +120,7 @@ class GroupedAggregateHashTable {
 
   /// Groups currently reachable through the pointer table.
   idx_t Count() const { return count_; }
-  idx_t Capacity() const { return capacity_; }
+  idx_t Capacity() const { return table_.capacity(); }
 
   /// All materialized rows (across resets).
   PartitionedTupleData &data() { return *data_; }
@@ -127,16 +128,9 @@ class GroupedAggregateHashTable {
   /// Group hashes of the most recent AddChunk input (valid for its
   /// input.size() leading slots until the next AddChunk). The planner's
   /// sampling phase reads these so estimation never re-hashes.
-  [[nodiscard]] const hash_t *LastChunkHashes() const {
-    return hashes_.data();
-  }
+  [[nodiscard]] const hash_t *LastChunkHashes() const { return hashes_; }
 
   const TupleDataLayout &layout() const { return row_layout_.layout; }
-  const AggregateRowLayout &row_layout() const { return row_layout_; }
-  idx_t GroupColumnCount() const { return row_layout_.group_count; }
-  const std::vector<AggregateObject> &aggregates() const {
-    return row_layout_.aggregates;
-  }
 
   /// Column types of finalized output chunks: group columns, then one
   /// result column per aggregate (in request order).
@@ -181,7 +175,8 @@ class GroupedAggregateHashTable {
   /// New groups a phase-1 (non-resizable) table can still take before
   /// reaching the reset threshold.
   idx_t ResetBudget() const {
-    auto threshold = static_cast<idx_t>(capacity_ * config_.reset_fill_ratio);
+    auto threshold =
+        static_cast<idx_t>(table_.capacity() * config_.reset_fill_ratio);
     return threshold > count_ ? threshold - count_ : 0;
   }
 
@@ -197,25 +192,19 @@ class GroupedAggregateHashTable {
   /// (resizable tables only).
   Status Resize();
 
-  uint64_t *entries() {
-    return reinterpret_cast<uint64_t *>(entries_alloc_.data());
-  }
-
   BufferManager &buffer_manager_;
   Config config_;
 
   AggregateRowLayout row_layout_;
 
-  NonPagedAllocation entries_alloc_;
-  idx_t capacity_ = 0;
-  idx_t mask_ = 0;
+  SaltedPointerTable table_;
   idx_t count_ = 0;
 
   std::unique_ptr<PartitionedTupleData> data_;
 
   // Per-chunk scratch.
   DataChunk append_chunk_;
-  std::vector<hash_t> hashes_;
+  hash_t *hashes_ = nullptr;  // append_chunk_'s hash column
   std::vector<data_ptr_t> row_ptrs_;
   std::vector<data_ptr_t> state_ptrs_;
   std::vector<idx_t> sel_scratch_;

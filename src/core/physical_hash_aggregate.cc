@@ -248,6 +248,7 @@ Status PhysicalHashAggregate::EarlyCompactLocal(LocalState &local) {
     SSAGG_RETURN_NOT_OK(MakePhase2Table(&compactor));
     SSAGG_RETURN_NOT_OK(MergeCollectionInto(*compactor, part, nullptr));
     compactor->ClearPointerTable();
+    local.carry_stats.Merge(compactor->stats());
     // Replace the partition's contents with the compacted rows.
     part.Reset();
     part.Combine(compactor->data().partition(0));

@@ -152,7 +152,7 @@ class PhysicalHashAggregate : public DataSink {
     /// Merge tables retired by a demotion; their (partially aggregated,
     /// radix-partitioned) rows join global_data_ at Combine.
     std::vector<std::unique_ptr<GroupedAggregateHashTable>> retired;
-    /// Stats of tables this thread already destroyed (transition).
+    /// Stats of tables this thread already destroyed.
     GroupedAggregateHashTable::Stats carry_stats;
     idx_t carry_resets = 0;
     idx_t demote_limit = 0;

@@ -1,8 +1,12 @@
 #include "core/physical_hash_join.h"
 
+#include <algorithm>
 #include <cstring>
+#include <numeric>
 
-#include "layout/radix_partitioning.h"
+#include "core/row_matcher.h"
+#include "core/salted_pointer_table.h"
+#include "layout/row_kernels.h"
 
 namespace ssagg {
 
@@ -15,14 +19,7 @@ std::vector<AggregateRequest> PayloadRequests(
     const std::vector<LogicalTypeId> &types, const std::vector<idx_t> &keys) {
   std::vector<AggregateRequest> requests;
   for (idx_t c = 0; c < types.size(); c++) {
-    bool is_key = false;
-    for (idx_t k : keys) {
-      if (k == c) {
-        is_key = true;
-        break;
-      }
-    }
-    if (!is_key) {
+    if (std::find(keys.begin(), keys.end(), c) == keys.end()) {
       requests.push_back({AggregateKind::kAnyValue, c});
     }
   }
@@ -41,14 +38,6 @@ std::vector<idx_t> InputToLayout(const AggregateRowLayout &layout,
     map[agg.request.input_column] = agg.layout_column;
   }
   return map;
-}
-
-idx_t NextPowerOfTwo(idx_t n) {
-  idx_t p = 1;
-  while (p < n) {
-    p <<= 1;
-  }
-  return p;
 }
 
 }  // namespace
@@ -71,33 +60,36 @@ class PhysicalHashJoin::SideSink : public DataSink {
     state->data = std::make_unique<PartitionedTupleData>(
         buffer_manager_, layout_.layout, radix_bits_);
     state->append_chunk.Initialize(layout_.layout.Types());
-    state->hashes.resize(kVectorSize);
     return std::unique_ptr<LocalSinkState>(std::move(state));
   }
 
   Status Sink(DataChunk &chunk, LocalSinkState &state) override {
     auto &local = static_cast<LocalState &>(state);
     const idx_t count = chunk.size();
-    ChunkHash(chunk, layout_.group_columns, local.hashes.data());
-    for (idx_t k = 0; k < layout_.group_count; k++) {
-      CopyVectorShallow(chunk.column(layout_.group_columns[k]),
-                        local.append_chunk.column(k), count);
+    hash_t *hashes = layout_.FillLayoutChunk(chunk, local.append_chunk);
+    // A NULL key never matches in an inner join: such rows are not
+    // materialized, so neither side's table or probe ever sees one.
+    idx_t *keyed = nullptr;
+    idx_t kept = count;
+    for (idx_t c : layout_.group_columns) {
+      const ValidityMask &validity = chunk.column(c).validity();
+      if (validity.AllValid()) {
+        continue;
+      }
+      if (keyed == nullptr) {
+        local.keyed.InitRange(0, count);
+        keyed = local.keyed.data();
+      }
+      idx_t valid = 0;
+      for (idx_t i = 0; i < kept; i++) {
+        if (validity.RowIsValid(keyed[i])) {
+          keyed[valid++] = keyed[i];
+        }
+      }
+      kept = valid;
     }
-    auto *hash_values =
-        local.append_chunk.column(layout_.hash_column).Values<int64_t>();
-    for (idx_t i = 0; i < count; i++) {
-      hash_values[i] = static_cast<int64_t>(local.hashes[i]);
-    }
-    local.append_chunk.column(layout_.hash_column).validity().Reset();
-    for (const auto &payload : layout_.aggregates) {
-      CopyVectorShallow(chunk.column(payload.request.input_column),
-                        local.append_chunk.column(payload.layout_column),
-                        count);
-    }
-    local.append_chunk.SetCount(count);
-    SSAGG_RETURN_NOT_OK(local.data->Append(local.append_chunk,
-                                           local.hashes.data(), nullptr,
-                                           count, nullptr));
+    SSAGG_RETURN_NOT_OK(
+        local.data->Append(local.append_chunk, hashes, keyed, kept, nullptr));
     // Unpin after every chunk: nothing references the rows until the join
     // phase, so the pages may spill freely (RAM-oblivious materialization).
     local.data->ReleaseAppendPins();
@@ -118,7 +110,7 @@ class PhysicalHashJoin::SideSink : public DataSink {
   struct LocalState : public LocalSinkState {
     std::unique_ptr<PartitionedTupleData> data;
     DataChunk append_chunk;
-    std::vector<hash_t> hashes;
+    SelectionVector keyed;
   };
 
   BufferManager &buffer_manager_;
@@ -157,8 +149,6 @@ Result<std::unique_ptr<PhysicalHashJoin>> PhysicalHashJoin::Create(
       new PhysicalHashJoin(buffer_manager, config));
   join->build_types_ = build_types;
   join->probe_types_ = probe_types;
-  join->build_keys_ = build_keys;
-  join->probe_keys_ = probe_keys;
   SSAGG_ASSIGN_OR_RETURN(
       join->build_layout_,
       AggregateRowLayout::Build(build_types, build_keys,
@@ -198,160 +188,128 @@ Status PhysicalHashJoin::JoinPartition(idx_t partition_idx, DataSink &output,
     probe.Reset();
     return Status::OK();
   }
-  // Pointer table over the build partition. Duplicate keys produce multiple
-  // entries; probes scan the probe chain until the first empty slot.
-  idx_t capacity = NextPowerOfTwo(std::max<idx_t>(
-      config_.build_initial_capacity, build.Count() * 2));
-  if (capacity > (idx_t(1) << kMaxHashTableBits)) {
-    return Status::OutOfMemory(
-        "build partition too large for the pointer table; increase the "
-        "join's radix bits");
-  }
-  SSAGG_ASSIGN_OR_RETURN(auto entries_alloc,
-                         buffer_manager_.AllocateNonPaged(capacity * 8));
-  std::memset(entries_alloc.data(), 0, capacity * 8);
-  auto *table = reinterpret_cast<uint64_t *>(entries_alloc.data());
-  const idx_t mask = capacity - 1;
-  const idx_t build_hash_offset = build_layout_.hash_offset;
+  // The shared salted pointer table over the build partition; duplicate
+  // keys take consecutive slots of one probe chain.
+  SaltedPointerTable table;
+  const idx_t capacity = NextPowerOfTwo(
+      std::max<idx_t>(config_.build_initial_capacity, build.Count() * 2));
+  SSAGG_RETURN_NOT_OK(table.Allocate(buffer_manager_, capacity));
   // Pin the whole build partition with string-pointer recomputation: probes
-  // compare (possibly string) keys against these rows.
+  // compare (possibly string) keys against these rows and emit gathers
+  // from them.
   TupleDataPinnedState build_pins;
   SSAGG_RETURN_NOT_OK(build.PinAllRows(build_pins, [&](data_ptr_t row) {
     hash_t h;
-    std::memcpy(&h, row + build_hash_offset, sizeof(hash_t));
-    idx_t idx = h & mask;
-    while (table[idx] != 0) {
-      idx = (idx + 1) & mask;
-    }
-    table[idx] = MakeEntry(row, ExtractSalt(h));
+    std::memcpy(&h, row + build_layout_.hash_offset, sizeof(hash_t));
+    table.Insert(row, h);
   }));
+  const uint64_t *entries = table.entries();
+  const idx_t mask = table.mask();
+  // Both layouts are [keys..., hash, payload...] with the same key types,
+  // so the probe chunk's leading columns line up with the build rows'.
+  RowMatcher matcher;
+  matcher.Initialize(build_layout_.layout, build_layout_.group_count,
+                     build_layout_.hash_column);
 
-  // Column mappings for output assembly.
+  // Output columns are gathered from matched (probe row, build row) pairs.
   std::vector<idx_t> probe_map = InputToLayout(probe_layout_,
                                                probe_types_.size());
   std::vector<idx_t> build_map = InputToLayout(build_layout_,
                                                build_types_.size());
-
   SSAGG_ASSIGN_OR_RETURN(auto out_local, output.InitLocal());
   DataChunk out(OutputTypes());
+  std::vector<data_ptr_t> out_probe(kVectorSize);
+  std::vector<data_ptr_t> out_build(kVectorSize);
   idx_t out_count = 0;
+  // Strings are gathered zero-copy: they point into the pinned build pages
+  // and the probe scan's current page, so a batch is flushed before the
+  // next probe Scan.
   auto flush = [&]() -> Status {
     if (out_count == 0) {
       return Status::OK();
     }
-    out.SetCount(out_count);
-    SSAGG_RETURN_NOT_OK(output.Sink(out, *out_local));
     out.Reset();
+    for (idx_t c = 0; c < probe_map.size(); c++) {
+      GatherColumn(probe_layout_.layout, probe_map[c], out_probe.data(),
+                   out_count, out.column(c));
+    }
+    for (idx_t c = 0; c < build_map.size(); c++) {
+      GatherColumn(build_layout_.layout, build_map[c], out_build.data(),
+                   out_count, out.column(probe_map.size() + c));
+    }
+    out.SetCount(out_count);
     out_count = 0;
-    return Status::OK();
+    return output.Sink(out, *out_local);
   };
 
-  // Emits one joined row: probe columns from the gathered chunk, build
-  // columns from the (pinned) build row.
-  auto emit = [&](const DataChunk &probe_chunk, idx_t probe_row,
-                  const_data_ptr_t build_row) -> Status {
-    for (idx_t c = 0; c < probe_types_.size(); c++) {
-      Vector &dest = out.column(c);
-      const Vector &src = probe_chunk.column(probe_map[c]);
-      if (!src.validity().RowIsValid(probe_row)) {
-        dest.validity().SetInvalid(out_count);
-        std::memset(dest.data() + out_count * dest.width(), 0, dest.width());
-      } else if (dest.type() == LogicalTypeId::kVarchar) {
-        dest.SetString(out_count, src.Values<string_t>()[probe_row].View());
-      } else {
-        std::memcpy(dest.data() + out_count * dest.width(),
-                    src.data() + probe_row * dest.width(), dest.width());
-      }
-    }
-    for (idx_t c = 0; c < build_types_.size(); c++) {
-      Vector &dest = out.column(probe_types_.size() + c);
-      idx_t lc = build_map[c];
-      idx_t offset = build_layout_.layout.ColumnOffset(lc);
-      if (!build_layout_.layout.RowIsColumnValid(build_row, lc)) {
-        dest.validity().SetInvalid(out_count);
-        std::memset(dest.data() + out_count * dest.width(), 0, dest.width());
-      } else if (dest.type() == LogicalTypeId::kVarchar) {
-        string_t s;
-        std::memcpy(&s, build_row + offset, sizeof(string_t));
-        dest.SetString(out_count, s.View());
-      } else {
-        std::memcpy(dest.data() + out_count * dest.width(),
-                    build_row + offset, dest.width());
-      }
-    }
-    out_count++;
-    return out_count == kVectorSize ? flush() : Status::OK();
-  };
-
-  // Compares probe row keys (gathered chunk, key columns 0..K-1) against a
-  // build row's key columns.
-  auto keys_match = [&](const DataChunk &probe_chunk, idx_t probe_row,
-                        const_data_ptr_t build_row) {
-    for (idx_t k = 0; k < build_layout_.group_count; k++) {
-      const Vector &vec = probe_chunk.column(k);
-      bool probe_valid = vec.validity().RowIsValid(probe_row);
-      bool build_valid = build_layout_.layout.RowIsColumnValid(build_row, k);
-      // SQL semantics: NULL keys never match.
-      if (!probe_valid || !build_valid) {
-        return false;
-      }
-      idx_t offset = build_layout_.layout.ColumnOffset(k);
-      LogicalTypeId type = build_layout_.layout.ColumnType(k);
-      if (TypeIsVarSize(type)) {
-        string_t stored;
-        std::memcpy(&stored, build_row + offset, sizeof(string_t));
-        if (stored != vec.Values<string_t>()[probe_row]) {
-          return false;
-        }
-      } else {
-        idx_t width = TypeWidth(type);
-        if (std::memcmp(build_row + offset,
-                        vec.data() + probe_row * width, width) != 0) {
-          return false;
-        }
-      }
-    }
-    return true;
-  };
-
-  // Stream the probe partition, destroying its pages as we pass them.
+  // Stream the probe partition's keys and hashes, destroying its pages as
+  // we pass them.
+  std::vector<idx_t> key_columns(probe_layout_.hash_column + 1);
+  std::iota(key_columns.begin(), key_columns.end(), 0);
   DataChunk probe_chunk(probe_layout_.layout.Types());
+  std::vector<data_ptr_t> probe_rows(kVectorSize);
+  std::vector<data_ptr_t> candidates(kVectorSize);
+  std::vector<idx_t> slots(kVectorSize);
+  SelectionVector active;
+  SelectionVector matched;
+  SelectionVector no_match;
   TupleDataScanState scan;
   probe.InitScan(scan, /*destroy_after_scan=*/true);
   idx_t probed = 0;
   while (true) {
-    SSAGG_ASSIGN_OR_RETURN(bool more, probe.Scan(scan, probe_chunk, nullptr));
+    SSAGG_ASSIGN_OR_RETURN(bool more, probe.Scan(scan, key_columns,
+                                                 probe_chunk,
+                                                 probe_rows.data()));
     if (!more) {
       break;
     }
-    if ((probed += probe_chunk.size()) % (64 * kVectorSize) <
-        probe_chunk.size()) {
+    const idx_t count = probe_chunk.size();
+    if ((probed += count) % (64 * kVectorSize) < count) {
       SSAGG_RETURN_NOT_OK(executor.CheckDeadline());
     }
-    const auto *hash_values =
-        probe_chunk.column(probe_layout_.hash_column).Values<int64_t>();
-    for (idx_t r = 0; r < probe_chunk.size(); r++) {
-      hash_t h = static_cast<hash_t>(hash_values[r]);
-      uint16_t salt = ExtractSalt(h);
-      idx_t idx = h & mask;
-      while (true) {
-        uint64_t entry = table[idx];
-        if (entry == 0) {
-          break;  // end of the probe chain: no more candidates
-        }
-        if (EntrySalt(entry) == salt) {
-          data_ptr_t row = EntryPointer(entry);
-          hash_t row_hash;
-          std::memcpy(&row_hash, row + build_hash_offset, sizeof(hash_t));
-          if (row_hash == h && keys_match(probe_chunk, r, row)) {
-            SSAGG_RETURN_NOT_OK(emit(probe_chunk, r, row));
-          }
-        }
-        idx = (idx + 1) & mask;
-      }
+    const auto *hashes = reinterpret_cast<const hash_t *>(
+        probe_chunk.column(probe_layout_.hash_column).data());
+    for (idx_t r = 0; r < count; r++) {
+      slots[r] = hashes[r] & mask;
     }
+    active.InitRange(0, count);
+    // Each round: a salt scan moves every active row to its next
+    // salt-matching entry (a row that reaches an empty slot is done), one
+    // column-at-a-time match checks the candidates (hash first), and the
+    // matches are recorded. Every candidate stays active one slot further
+    // on, since duplicate build keys let a row match more than once.
+    while (!active.empty()) {
+      matched.Clear();
+      for (idx_t i = 0; i < active.size(); i++) {
+        const idx_t r = active.data()[i];
+        const uint16_t salt = ExtractSalt(hashes[r]);
+        idx_t idx = slots[r];
+        uint64_t entry = entries[idx];
+        while (entry != 0 && EntrySalt(entry) != salt) {
+          idx = (idx + 1) & mask;
+          entry = entries[idx];
+        }
+        if (entry != 0) {
+          slots[r] = (idx + 1) & mask;  // where its next round resumes
+          candidates[r] = EntryPointer(entry);
+          matched.Append(r);
+        }
+      }
+      no_match.Clear();
+      matcher.Match(probe_chunk, candidates.data(), matched, no_match);
+      for (idx_t i = 0; i < matched.size(); i++) {
+        const idx_t r = matched.data()[i];
+        out_probe[out_count] = probe_rows[r];
+        out_build[out_count] = candidates[r];
+        if (++out_count == kVectorSize) {
+          SSAGG_RETURN_NOT_OK(flush());
+        }
+        no_match.Append(r);
+      }
+      active.Swap(no_match);
+    }
+    SSAGG_RETURN_NOT_OK(flush());
   }
-  SSAGG_RETURN_NOT_OK(flush());
   SSAGG_RETURN_NOT_OK(output.Combine(*out_local));
   // Both partitions are consumed: free their pages.
   build_pins.Release();

@@ -30,10 +30,14 @@ struct HashJoinConfig {
 ///   - both inputs are materialized into radix-partitioned spillable pages
 ///     through the unified buffer manager (nothing is ever written to a
 ///     file by the operator itself);
-///   - the probe phase processes one partition pair at a time: build a
-///     pointer table over the build partition's rows (salted, linear
-///     probing — the aggregation's layout machinery), stream the probe
-///     partition through it, emit matches, destroy both partitions.
+///   - the probe phase processes one partition pair at a time: insert the
+///     build partition's rows into the aggregate's SaltedPointerTable,
+///     stream the probe partition's keys through it in vectorized rounds
+///     (salt scan, RowMatcher), gather the matched pairs' columns with
+///     GatherColumn, destroy both partitions.
+///
+/// Rows with a NULL key are never materialized on either side, so SQL's
+/// "NULL never matches" needs no matcher of its own.
 ///
 /// Like the aggregation, the only memory requirement is that one build
 /// partition (plus working pages) fits per concurrent task; everything else
@@ -62,6 +66,7 @@ class PhysicalHashJoin {
   /// are consumed.
   Status EmitResults(DataSink &output, TaskExecutor &executor);
 
+  /// Materialized rows per side (a row with a NULL key is dropped).
   idx_t BuildRowCount() const { return build_data_->Count(); }
   idx_t ProbeRowCount() const { return probe_data_->Count(); }
 
@@ -83,8 +88,6 @@ class PhysicalHashJoin {
   AggregateRowLayout probe_layout_;
   std::vector<LogicalTypeId> build_types_;
   std::vector<LogicalTypeId> probe_types_;
-  std::vector<idx_t> build_keys_;
-  std::vector<idx_t> probe_keys_;
 
   std::unique_ptr<SideSink> build_sink_;
   std::unique_ptr<SideSink> probe_sink_;

@@ -148,7 +148,6 @@ idx_t RowMatcher::Match(const DataChunk &chunk, data_ptr_t *const row_ptrs,
     if (count == 0) {
       break;
     }
-    compare_passes_++;
     count = pass.fn(chunk.column(pass.column), *layout_, pass.column,
                     row_ptrs, sel.data(), count, no_match.data(),
                     no_match_count);

@@ -37,10 +37,6 @@ class RowMatcher {
   idx_t Match(const DataChunk &chunk, data_ptr_t *const row_ptrs,
               SelectionVector &sel, SelectionVector &no_match);
 
-  /// Column passes executed so far (for stats: one pass compares one
-  /// column across one selection).
-  uint64_t compare_passes() const { return compare_passes_; }
-
  private:
   using MatchFn = idx_t (*)(const Vector &vec, const TupleDataLayout &layout,
                             idx_t col, data_ptr_t *const row_ptrs,
@@ -54,7 +50,6 @@ class RowMatcher {
 
   const TupleDataLayout *layout_ = nullptr;
   std::vector<MatchPass> passes_;
-  uint64_t compare_passes_ = 0;
 };
 
 }  // namespace ssagg

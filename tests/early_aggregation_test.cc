@@ -99,6 +99,19 @@ TEST_F(EarlyAggregationTest, ReducesIntermediatesAndIO) {
   EXPECT_LT(on.snapshot.temp_file_peak, off.snapshot.temp_file_peak);
 }
 
+// The compactor's counters reach the query's stats. Every phase-1 insert
+// materializes a row that is either handed to phase 2 or compacted away,
+// and phase 2 inserts each group once, so whatever `ht.inserts` counts
+// beyond those is the compactors' work.
+TEST_F(EarlyAggregationTest, CompactorCountsReachQueryStats) {
+  const HashAggregateStats stats = RunQuery(true, temp_dir_).stats;
+  ASSERT_GT(stats.early_compactions, 0u);
+  const uint64_t phase1_and_phase2 =
+      stats.materialized_rows + stats.early_compacted_rows + kKeys;
+  EXPECT_GT(stats.ht.inserts, phase1_and_phase2)
+      << "the compactors' inserts are missing";
+}
+
 // The early-aggregation compactor re-aggregates a partition in a phase-2
 // table and must honour the query's reset_fill_ratio like every other
 // table: with a lower ratio it grows its pointer table further before the

@@ -11,6 +11,7 @@
 #include "buffer/buffer_manager.h"
 #include "common/file_system.h"
 #include "core/physical_hash_aggregate.h"
+#include "core/physical_hash_join.h"
 #include "core/run_aggregation.h"
 #include "execution/collectors.h"
 #include "execution/range_source.h"
@@ -415,29 +416,49 @@ class FaultSweepTest : public ::testing::Test {
     (void)FileSystem::Default().CreateDirectories(base_dir_);
   }
 
-  /// Small spilling workload: tight pool, every group unique, single
-  /// thread so the k-th operation is the same operation on every run.
+  /// Small spilling workloads: tight pool, single thread so the k-th
+  /// operation is the same operation on every run. The aggregate has every
+  /// group unique; the join matches each build row (string payload) with
+  /// two probe rows (string payload).
+  enum class Workload { kAggregate, kJoin };
   struct SweepRun {
     Status status;
     std::vector<std::string> rows;
   };
-  SweepRun RunOnce(const std::string &dir, FaultInjector &injector) {
+  static Status RunJoin(BufferManager &bm, TaskExecutor &executor,
+                        DataSink &output) {
+    auto build = MakeSource(kRows / 2, kRows / 2);
+    auto probe = MakeSource(kRows, kRows / 2);
+    HashJoinConfig config;
+    config.radix_bits = 2;
+    SSAGG_ASSIGN_OR_RETURN(
+        auto join, PhysicalHashJoin::Create(bm, SourceTypes(), {0},
+                                            SourceTypes(), {0}, config));
+    SSAGG_RETURN_NOT_OK(executor.RunPipeline(build, join->build_sink()));
+    SSAGG_RETURN_NOT_OK(executor.RunPipeline(probe, join->probe_sink()));
+    return join->EmitResults(output, executor);
+  }
+  SweepRun RunOnce(const std::string &dir, FaultInjector &injector,
+                   Workload workload) {
     FaultInjectingFileSystem fault_fs(FileSystem::Default(), injector);
     SweepRun run;
     {
       BufferManager bm(dir, 20 * kPageSize, EvictionPolicy::kMixed, fault_fs);
       bm.SetFaultInjector(&injector);
       TaskExecutor executor(1);
-      auto source = MakeSource(kRows, kRows);
       MaterializedCollector collector;
-      HashAggregateConfig config;
-      config.phase1_capacity = 512;
-      config.radix_bits = 2;
-      auto stats =
-          RunGroupedAggregation(bm, source, {0}, TestAggregates(), collector,
-                                executor, config);
-      run.status = stats.ok() ? Status::OK() : stats.status();
-      if (stats.ok()) {
+      if (workload == Workload::kJoin) {
+        run.status = RunJoin(bm, executor, collector);
+      } else {
+        auto source = MakeSource(kRows, kRows);
+        HashAggregateConfig config;
+        config.phase1_capacity = 512;
+        config.radix_bits = 2;
+        run.status = RunGroupedAggregation(bm, source, {0}, TestAggregates(),
+                                           collector, executor, config)
+                         .status();
+      }
+      if (run.status.ok()) {
         run.rows = CanonicalRows(collector);
       }
       // The no-leak invariant, asserted while the pool is still alive:
@@ -453,7 +474,8 @@ class FaultSweepTest : public ::testing::Test {
     return run;
   }
 
-  void Sweep(uint32_t site_mask, const char *what) {
+  void Sweep(uint32_t site_mask, const char *what,
+             Workload workload = Workload::kAggregate) {
     std::string dir = base_dir_ + "/" + what;
     (void)FileSystem::Default().CreateDirectories(dir);
 
@@ -463,7 +485,7 @@ class FaultSweepTest : public ::testing::Test {
     FaultInjector::Config config;
     config.site_mask = site_mask;
     injector.Reset(config);
-    SweepRun reference = RunOnce(dir, injector);
+    SweepRun reference = RunOnce(dir, injector, workload);
     ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
     idx_t total_ops = injector.ops_seen();
     ASSERT_GT(total_ops, 0u) << "workload must exercise " << what
@@ -480,7 +502,7 @@ class FaultSweepTest : public ::testing::Test {
                    std::to_string(k));
       config.fail_at = k;
       injector.Reset(config);
-      SweepRun run = RunOnce(dir, injector);
+      SweepRun run = RunOnce(dir, injector, workload);
       ASSERT_EQ(injector.faults_injected(), 1u)
           << what << ": operation #" << k << " of " << total_ops
           << " was never reached";
@@ -495,7 +517,7 @@ class FaultSweepTest : public ::testing::Test {
     // result is bit-identical to the reference.
     config.fail_at = total_ops + 1;
     injector.Reset(config);
-    SweepRun clean = RunOnce(dir, injector);
+    SweepRun clean = RunOnce(dir, injector, workload);
     ASSERT_TRUE(clean.status.ok()) << clean.status.ToString();
     EXPECT_EQ(injector.faults_injected(), 0u);
     EXPECT_EQ(clean.rows, reference.rows)
@@ -516,6 +538,18 @@ TEST_F(FaultSweepTest, EveryAllocationFailureDegradesToCleanStatus) {
 
 TEST_F(FaultSweepTest, CombinedIoAndMemorySweep) {
   Sweep(kFaultIoSites | kFaultMemorySites, "all");
+}
+
+TEST_F(FaultSweepTest, JoinEveryIoFailureDegradesToCleanStatus) {
+  Sweep(kFaultIoSites, "join_io", Workload::kJoin);
+}
+
+TEST_F(FaultSweepTest, JoinEveryAllocationFailureDegradesToCleanStatus) {
+  Sweep(kFaultMemorySites, "join_memory", Workload::kJoin);
+}
+
+TEST_F(FaultSweepTest, JoinCombinedIoAndMemorySweep) {
+  Sweep(kFaultIoSites | kFaultMemorySites, "join_all", Workload::kJoin);
 }
 
 // The async spill pipeline's own sites (submit, completion, coalesced
