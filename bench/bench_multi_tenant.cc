@@ -2,16 +2,17 @@
 //
 // Fires a fixed batch of identical grouped-aggregation queries through one
 // QueryService at increasing concurrency caps and reports queries/second,
-// speedup over the serial run, queue-wait percentiles and grant-pool
-// pressure. The pool is deliberately a fraction of what the batch would
-// want, so higher concurrency buys overlap (one query's spill I/O hides
-// another's probe work) at the price of tighter grants and more spilling —
-// the trade the admission controller exists to arbitrate.
+// speedup over the serial run, queue-wait percentiles, the peak of the
+// shared pool's memory_used and the bytes spilled. The pool is deliberately
+// a fraction of what the batch would want, so higher concurrency buys
+// overlap (one query's spill I/O hides another's probe work) at the price
+// of more spilling — the trade the admission cap exists to bound.
 //
 //   bench_multi_tenant [rows-per-query] [queries] [groups]
 //
 // Environment: SSAGG_BENCH_MEMORY (pool bytes), SSAGG_BENCH_TEMPDIR.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -46,7 +47,8 @@ struct RunResult {
   idx_t shed = 0;
   uint64_t queue_wait_p50_us = 0;
   uint64_t queue_wait_p99_us = 0;
-  idx_t peak_granted = 0;
+  idx_t peak_used = 0;
+  idx_t spilled = 0;
   bool leaked = false;
 };
 
@@ -66,7 +68,15 @@ RunResult RunBatch(const std::string &dir, idx_t pool_bytes, idx_t concurrency,
   std::vector<std::thread> submitters;
   std::atomic<idx_t> completed{0};
   std::atomic<idx_t> shed{0};
-  std::atomic<idx_t> peak_granted{0};
+  // Samples the shared pool's usage while the batch runs.
+  std::atomic<bool> done{false};
+  idx_t peak_used = 0;
+  std::thread sampler([&]() {
+    while (!done.load(std::memory_order_relaxed)) {
+      peak_used = std::max(peak_used, bm.memory_used());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
   auto t0 = std::chrono::steady_clock::now();
   for (idx_t q = 0; q < queries; q++) {
     submitters.emplace_back([&, q]() {
@@ -79,7 +89,6 @@ RunResult RunBatch(const std::string &dir, idx_t pool_bytes, idx_t concurrency,
                          {AggregateKind::kCountStar, kInvalidIndex}};
       spec.output = &collector;
       spec.config.radix_bits = 3;
-      spec.memory_estimate = pool_bytes / (2 * concurrency);
       auto result = service.Execute(spec);
       if (result.ok()) {
         completed.fetch_add(1, std::memory_order_relaxed);
@@ -89,23 +98,21 @@ RunResult RunBatch(const std::string &dir, idx_t pool_bytes, idx_t concurrency,
                        static_cast<unsigned long long>(q),
                        result.status().ToString().c_str());
       }
-      idx_t granted = service.grant_pool().granted_total();
-      idx_t seen = peak_granted.load(std::memory_order_relaxed);
-      while (granted > seen &&
-             !peak_granted.compare_exchange_weak(seen, granted)) {
-      }
     });
   }
   for (auto &th : submitters) {
     th.join();
   }
   auto t1 = std::chrono::steady_clock::now();
+  done.store(true, std::memory_order_relaxed);
+  sampler.join();
 
   RunResult out;
   out.seconds = std::chrono::duration<double>(t1 - t0).count();
   out.completed = completed.load();
   out.shed = shed.load();
-  out.peak_granted = peak_granted.load();
+  out.peak_used = peak_used;
+  out.spilled = bm.Snapshot().spill_bytes_written;
   auto wait_hist =
       MetricsRegistry::Global().HistogramSnapshots()["svc.queue_wait_ns"];
   wait_hist.Subtract(wait_hist_before);
@@ -113,12 +120,10 @@ RunResult RunBatch(const std::string &dir, idx_t pool_bytes, idx_t concurrency,
     out.queue_wait_p50_us = wait_hist.Percentile(0.50) / 1000;
     out.queue_wait_p99_us = wait_hist.Percentile(0.99) / 1000;
   }
-  // Quiesce invariant, checked while the pool is still alive: every grant
-  // byte and memory charge must be back.
-  out.leaked = service.grant_pool().active_grants() != 0 ||
-               service.grant_pool().granted_total() != 0 ||
-               service.grant_pool().used_total() != 0 ||
-               bm.memory_used() != 0 || bm.PinnedBufferCount() != 0;
+  // Quiesce invariant, checked while the pool is still alive: no pin,
+  // memory charge or session may be left behind.
+  out.leaked = bm.PinnedBufferCount() != 0 || bm.memory_used() != 0 ||
+               !service.Sessions().empty();
   return out;
 }
 
@@ -145,9 +150,9 @@ int main(int argc, char **argv) {
               static_cast<unsigned long long>(rows),
               static_cast<unsigned long long>(groups),
               static_cast<unsigned long long>(pool_bytes >> 20));
-  std::printf("%-12s %10s %10s %9s %9s %14s %14s %12s\n", "concurrency",
-              "seconds", "q/s", "speedup", "shed", "qwait_p50_us",
-              "qwait_p99_us", "peak_grant");
+  std::printf("%-12s %10s %10s %9s %9s %14s %14s %12s %12s\n",
+              "concurrency", "seconds", "q/s", "speedup", "shed",
+              "qwait_p50_us", "qwait_p99_us", "peak_used", "spill");
 
   double serial_seconds = 0;
   for (idx_t concurrency : {idx_t{1}, idx_t{2}, idx_t{4}, idx_t{8}}) {
@@ -159,12 +164,15 @@ int main(int argc, char **argv) {
     double qps = r.seconds > 0 ? static_cast<double>(r.completed) / r.seconds
                                : 0;
     double speedup = r.seconds > 0 ? serial_seconds / r.seconds : 0;
-    std::printf("%-12llu %10.3f %10.2f %8.2fx %9llu %14llu %14llu %9llu MiB\n",
-                static_cast<unsigned long long>(concurrency), r.seconds, qps,
-                speedup, static_cast<unsigned long long>(r.shed),
-                static_cast<unsigned long long>(r.queue_wait_p50_us),
-                static_cast<unsigned long long>(r.queue_wait_p99_us),
-                static_cast<unsigned long long>(r.peak_granted >> 20));
+    std::printf(
+        "%-12llu %10.3f %10.2f %8.2fx %9llu %14llu %14llu %8llu MiB "
+        "%8llu MiB\n",
+        static_cast<unsigned long long>(concurrency), r.seconds, qps, speedup,
+        static_cast<unsigned long long>(r.shed),
+        static_cast<unsigned long long>(r.queue_wait_p50_us),
+        static_cast<unsigned long long>(r.queue_wait_p99_us),
+        static_cast<unsigned long long>(r.peak_used >> 20),
+        static_cast<unsigned long long>(r.spilled >> 20));
     if (r.completed != queries) {
       SSAGG_LOG_ERROR("only %llu/%llu queries completed",
                       static_cast<unsigned long long>(r.completed),
@@ -172,7 +180,7 @@ int main(int argc, char **argv) {
       return 1;
     }
     if (r.leaked) {
-      SSAGG_LOG_ERROR("grant pool did not quiesce at concurrency %llu",
+      SSAGG_LOG_ERROR("pool did not quiesce at concurrency %llu",
                       static_cast<unsigned long long>(concurrency));
       return 1;
     }

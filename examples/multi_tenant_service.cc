@@ -1,5 +1,6 @@
 // Multi-tenant QueryService demo: several tenants share one memory-limited
-// BufferManager through per-query grants and FIFO admission control.
+// BufferManager — one limit, one eviction queue — behind FIFO admission
+// control.
 //
 // Six tenant threads submit grouped aggregations of different shapes at a
 // service capped at two concurrent sessions, while the main thread polls
@@ -12,8 +13,9 @@
 //   multi_tenant_service            # run the demo
 //
 // Things to watch in the output: sessions report "queued" while they wait
-// (no blank lines), every admitted query gets its queue wait stamped, and
-// at the end the grant pool is empty — nothing leaked.
+// (no blank lines), every admitted query gets its queue wait stamped, the
+// pool's used bytes never pass its limit, and at the end no page is pinned
+// and no byte is charged — nothing leaked.
 
 #include <atomic>
 #include <chrono>
@@ -46,8 +48,8 @@ RangeSource MakeTenantSource(idx_t rows, idx_t groups) {
 
 int main() {
   constexpr idx_t kTenants = 6;
-  // A pool small enough that heavy tenants spill: admission and grants
-  // decide who holds memory, not first-come-keeps-everything.
+  // A pool small enough that heavy tenants spill: admission decides how
+  // many tenants share it, eviction which of their pages stay resident.
   BufferManager bm("/tmp/ssagg_mt_demo", 48ULL << 20);
   QueryServiceOptions options;
   options.max_concurrent = 2;
@@ -73,7 +75,6 @@ int main() {
                          {AggregateKind::kCountStar, kInvalidIndex}};
       spec.output = &sink;
       spec.config.radix_bits = 4;
-      spec.memory_estimate = heavy ? (24ULL << 20) : (4ULL << 20);
       auto result = service.Execute(spec);
       if (result.ok()) {
         std::printf("tenant %llu done: %llu groups\n",
@@ -92,13 +93,11 @@ int main() {
   while (done.load(std::memory_order_relaxed) < kTenants) {
     auto sessions = service.Sessions();
     QueryServiceStats stats = service.stats();
-    std::printf("[live] active %llu queued %llu | pool granted %llu/%llu MiB\n",
+    std::printf("[live] active %llu queued %llu | pool used %llu/%llu MiB\n",
                 static_cast<unsigned long long>(stats.active),
                 static_cast<unsigned long long>(stats.waiting),
-                static_cast<unsigned long long>(
-                    service.grant_pool().granted_total() >> 20),
-                static_cast<unsigned long long>(
-                    service.grant_pool().total() >> 20));
+                static_cast<unsigned long long>(bm.memory_used() >> 20),
+                static_cast<unsigned long long>(bm.memory_limit() >> 20));
     for (const auto &session : sessions) {
       std::printf("  session %llu: %-7s rows %llu  queue_wait %llu ms\n",
                   static_cast<unsigned long long>(session.id),
@@ -131,10 +130,8 @@ int main() {
                 static_cast<unsigned long long>(hist.Percentile(0.99) / 1000000),
                 static_cast<unsigned long long>(hist.max / 1000000));
   }
-  std::printf("grant pool at quiesce: active %llu granted %llu used %llu "
-              "(all must be 0)\n",
-              static_cast<unsigned long long>(service.grant_pool().active_grants()),
-              static_cast<unsigned long long>(service.grant_pool().granted_total()),
-              static_cast<unsigned long long>(service.grant_pool().used_total()));
-  return service.grant_pool().active_grants() == 0 ? 0 : 1;
+  std::printf("pool at quiesce: pinned %llu used %llu bytes (both must be 0)\n",
+              static_cast<unsigned long long>(bm.PinnedBufferCount()),
+              static_cast<unsigned long long>(bm.memory_used()));
+  return bm.PinnedBufferCount() == 0 && bm.memory_used() == 0 ? 0 : 1;
 }

@@ -41,7 +41,25 @@
 # a batch of concurrent spilling queries through the multi-tenant
 # QueryService on a deliberately small pool, asserting that oversubscribed
 # concurrency levels report nonzero queue-wait percentiles, that every
-# query completes, and that the grant pool quiesces with zero leaked bytes.
+# query completes, that the shared pool's sampled peak memory_used stays
+# within its limit, and that the pool quiesces with zero pins, zero
+# memory_used and no session left.
+#
+# --bench-only [PARENT_REF] [PAIRS] is the paired no-regression run of the
+# benchmark (BENCHMARK.json). It checks PARENT_REF (default HEAD) out with
+# `git worktree add` under a temporary directory, and the working tree —
+# HEAD plus uncommitted edits and untracked files — into a second one, so
+# both sides build from scratch in the same place. Per workload it runs
+# perfbench/run.py in PAIRS (default 10) alternating parent/change pairs,
+# pair i with seed i and the run_seconds of BENCHMARK.json on both sides,
+# snapshots each side with scripts/bench_snapshot.py into its own worktree
+# (the committed BENCH_*.json are never rewritten; copies of both snapshots
+# and of every run record land in results/bench_only/{parent,change}/),
+# and gates the pair of
+# snapshots with scripts/bench_report.py --gate BENCHMARK.json. It exits 2
+# if any workload's gate fails, 1 if any run fails or returns a wrong
+# result, and removes both worktrees on exit. After committing a change,
+# pass HEAD~1 as PARENT_REF.
 #
 # The static-analysis half of the concurrency gate is scripts/ssagg_analyze.py
 # (DESIGN.md section 14): --analyze-only proves the analyzer against its
@@ -54,7 +72,8 @@
 #
 # Usage: scripts/check.sh
 #   [--asan-only|--plain-only|--tsan-only|--spill-io-only|--strategy-only|
-#    --observe-only|--service-only|--analyze-only]
+#    --observe-only|--service-only|--analyze-only|
+#    --bench-only [PARENT_REF] [PAIRS]]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -252,20 +271,20 @@ EOF
 
 service_smoke() {
   local dir="$1"
-  echo "=== service smoke (admission control + grants under concurrency) ==="
+  echo "=== service smoke (admission control over the shared pool) ==="
   # The service-level unit, isolation-equivalence, soak and fault-sweep
   # tests — cheap enough to re-run standalone as the smoke's first gate.
   "$dir/tests/ssagg_tests" \
-      --gtest_filter='MemoryGrantPoolTest.*:QueryServiceTest.*:Strategies/IsolationEquivalenceTest.*:ServiceFaultSweepTest.*' \
+      --gtest_filter='QueryServiceTest.*:Strategies/IsolationEquivalenceTest.*:ServiceFaultSweepTest.*' \
       >/dev/null
   local work
   work=$(mktemp -d)
   # 12 queries against caps of 1/2/4/8: at every oversubscribed level part
   # of the batch has to queue, so the queue-wait histogram must carry a
   # nonzero tail. The 96 MiB pool keeps the batch feasible (each query has
-  # an irreducible pinned + non-paged floor the hard limit must cover) while
-  # grants still tighten as concurrency rises. The bench itself exits
-  # nonzero if any query fails or any grant leaks.
+  # an irreducible pinned + non-paged floor the one limit must cover) while
+  # the sessions still spill as concurrency rises. The bench itself exits
+  # nonzero if any query fails or the pool does not quiesce.
   SSAGG_BENCH_MEMORY=$((96 << 20)) SSAGG_BENCH_TEMPDIR="$work/tmp" \
       "$dir/bench/bench_multi_tenant" 400000 12 50000 | tee "$work/mt.txt"
   python3 - "$work/mt.txt" <<'EOF'
@@ -276,16 +295,80 @@ for line in open(sys.argv[1]):
     if parts and parts[0].isdigit():
         rows[int(parts[0])] = parts
 assert set(rows) == {1, 2, 4, 8}, f"missing sweep rows: {sorted(rows)}"
-# Columns: concurrency seconds q/s speedup shed p50_us p99_us peak_grant.
+# Columns: concurrency seconds q/s speedup shed p50_us p99_us
+# peak_used MiB spill MiB.
 for concurrency in (4, 8):
     p99 = int(rows[concurrency][6])
     assert p99 > 0, \
         f"concurrency {concurrency}: queue-wait p99 is zero — " \
         f"admission never queued anyone: {rows[concurrency]}"
-print("service smoke ok: queue-wait percentiles live, grants quiesced")
+for concurrency, row in rows.items():
+    peak_used = int(row[7])
+    assert peak_used <= 96, \
+        f"concurrency {concurrency}: peak memory_used {peak_used} MiB " \
+        f"is past the 96 MiB limit: {row}"
+print("service smoke ok: queue-wait percentiles live, pool quiesced")
 EOF
   rm -rf "$work"
 }
+
+bench_only() {
+  local parent_ref="${1:-HEAD}" pairs="${2:-10}"
+  local seconds workloads
+  seconds=$(python3 -c \
+      'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
+  workloads=$(python3 -c 'import json; print(" ".join(
+      w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+  BENCH_TMP=$(mktemp -d)
+  trap 'git worktree remove --force "$BENCH_TMP/parent" 2>/dev/null || true
+        git worktree remove --force "$BENCH_TMP/change" 2>/dev/null || true
+        git worktree prune; rm -rf "$BENCH_TMP"' EXIT
+  echo "=== bench: $parent_ref vs working tree, $pairs pairs x ${seconds}s ==="
+  git worktree add --detach "$BENCH_TMP/parent" "$parent_ref" >/dev/null
+  git worktree add --detach "$BENCH_TMP/change" HEAD >/dev/null
+  if ! git diff --quiet HEAD; then
+    git diff --binary HEAD | git -C "$BENCH_TMP/change" apply --binary
+  fi
+  git ls-files --others --exclude-standard -z |
+      xargs -0 -r cp --parents -t "$BENCH_TMP/change"
+  local gate_failed=0 w i side
+  for w in $workloads; do
+    for ((i = 1; i <= pairs; i++)); do
+      # Alternate which side runs first, so drift over the session does
+      # not favour either.
+      local order="parent change"
+      if ((i % 2 == 0)); then
+        order="change parent"
+      fi
+      for side in $order; do
+        echo "--- $w pair $i/$pairs: $side (seed $i)"
+        python3 "$BENCH_TMP/$side/perfbench/run.py" --workload "$w" \
+            --seed "$i" --seconds "$seconds" --trace 0 >/dev/null
+      done
+    done
+    for side in parent change; do
+      python3 scripts/bench_snapshot.py "$w" --out-dir "$BENCH_TMP/$side" \
+          --repo "$BENCH_TMP/$side"
+      mkdir -p "results/bench_only/$side"
+      cp "$BENCH_TMP/$side/BENCH_$w.json" \
+          "$BENCH_TMP/$side/.perfbench_out/result-$w-"*.json \
+          "results/bench_only/$side/"
+    done
+    python3 scripts/bench_report.py "$BENCH_TMP/parent/BENCH_$w.json" \
+        "$BENCH_TMP/change/BENCH_$w.json" --gate BENCHMARK.json ||
+        gate_failed=1
+  done
+  if ((gate_failed)); then
+    echo "bench gate failed (see above)" >&2
+    exit 2
+  fi
+}
+
+if [[ "$MODE" == "--bench-only" ]]; then
+  bench_only "${2:-}" "${3:-}"
+  echo "all checks passed"
+  exit 0
+fi
 
 if [[ "$MODE" == "--analyze-only" ]]; then
   echo "=== ssagg-analyze self-test (canary corpus) ==="

@@ -13,7 +13,6 @@ namespace ssagg {
 
 class BufferManager;
 class FileBlockManager;
-class GrantState;
 
 /// What kind of data a block holds; drives how it is evicted and reloaded
 /// (Section III distinguishes persistent pages and the three temporary
@@ -94,15 +93,6 @@ class BlockHandle : public std::enable_shared_from_this<BlockHandle> {
   bool spilled_to_own_file_ SSAGG_GUARDED_BY(lock_) = false;
   /// Set when the contents were dropped (can_destroy) or destroyed.
   bool destroyed_ SSAGG_GUARDED_BY(lock_) = false;
-  /// The per-query memory grant this block's charges count against, captured
-  /// from the allocating thread's GrantScope (multi-tenant service sessions;
-  /// nullptr on all single-tenant paths). Invariants, maintained at every
-  /// charge/discharge choke point in the buffer manager: while kLoaded,
-  /// grant_->used() includes size_; while spilled (temp_slot_ /
-  /// spilled_to_own_file_), grant_->spilled() includes size_. Shared
-  /// ownership: the grant may outlive its MemoryGrant (query teardown) while
-  /// foreign threads are still evicting this query's pages.
-  std::shared_ptr<GrantState> grant_ SSAGG_GUARDED_BY(lock_);
   /// Signalled when an asynchronous load (state kLoading) finishes.
   CondVar load_cv_;
   /// Poison left by a failed asynchronous load: the block kept its spill

@@ -5,7 +5,6 @@
 #include <thread>
 #include <vector>
 
-#include "buffer/memory_grant.h"
 #include "observe/flight_recorder.h"
 #include "observe/log.h"
 #include "observe/metrics.h"
@@ -42,7 +41,6 @@ NonPagedAllocation &NonPagedAllocation::operator=(
     manager_ = other.manager_;
     data_ = other.data_;
     size_ = other.size_;
-    grant_ = std::move(other.grant_);
     other.manager_ = nullptr;
     other.data_ = nullptr;
     other.size_ = 0;
@@ -54,14 +52,10 @@ void NonPagedAllocation::Reset() {
   if (data_ != nullptr) {
     delete[] data_;
     manager_->FreeNonPaged(size_);
-    if (grant_ != nullptr) {
-      grant_->Discharge(size_);
-    }
     data_ = nullptr;
     manager_ = nullptr;
     size_ = 0;
   }
-  grant_.reset();
 }
 
 //===----------------------------------------------------------------------===//
@@ -169,33 +163,33 @@ void BufferManager::DischargeLoaded(BlockKind kind, idx_t size) {
   }
 }
 
-// SAFETY: this function manages a *set* of manually try-locked block handles
-// (the spill batch) whose locks are held across the batched write and
-// released one by one afterwards — a pattern scoped capabilities cannot
-// express. Lock order is preserved: block locks are only ever try-locked,
-// and queue_lock_ is a leaf acquired below them.
-void BufferManager::DischargeGrant(BlockHandle &block) {
-  if (block.grant_ != nullptr) {
-    block.grant_->Discharge(block.size_);
-  }
+Status BufferManager::OutOfMemoryStatus(idx_t request) const {
+  auto bytes = [](const std::atomic<idx_t> &counter) {
+    return std::to_string(counter.load(std::memory_order_relaxed));
+  };
+  return Status::OutOfMemory(
+      "cannot reserve " + std::to_string(request) + " bytes: limit " +
+      bytes(memory_limit_) + ", used " + bytes(memory_used_) +
+      " (persistent " + bytes(persistent_loaded_bytes_) + ", temporary " +
+      bytes(temporary_loaded_bytes_) + ", non-paged " +
+      bytes(non_paged_bytes_) + "), " + std::to_string(PinnedBufferCount()) +
+      " pinned buffers, and no page can be evicted");
 }
 
-void BufferManager::DischargeSpillQuota(BlockHandle &block) {
-  if (block.grant_ != nullptr) {
-    block.grant_->DischargeSpill(block.size_);
-  }
-}
-
+// This function manages a *set* of manually try-locked block handles (the
+// spill batch) whose locks are held across the batched write and released
+// one by one afterwards — a pattern scoped capabilities cannot express.
 Result<std::unique_ptr<FileBuffer>>
-// SAFETY: see the rationale above.
-BufferManager::EvictBlocks(idx_t reuse_size, const GrantState *only_grant)
+// SAFETY: lock order is preserved: block locks are only ever try-locked,
+// and queue_lock_ is a leaf acquired below them.
+BufferManager::EvictBlocks(idx_t reuse_size, idx_t request)
     SSAGG_NO_THREAD_SAFETY_ANALYSIS {
   // Lock-holder accounting for the dry-queue back-off below. Only threads
   // that currently *hold* candidate locks count: a scan that merely pops and
   // examines entries must not — two concurrent scans that each find nothing
   // would otherwise see each other "in flight" and retry forever, turning a
   // genuine out-of-memory condition into a livelock (observed with two
-  // tight-grant queries spilling themselves down simultaneously).
+  // spilling queries whose eviction scans ran simultaneously).
   idx_t held_locks = 0;
   auto note_lock = [&]() {
     if (held_locks++ == 0) {
@@ -258,10 +252,6 @@ BufferManager::EvictBlocks(idx_t reuse_size, const GrantState *only_grant)
     std::unique_ptr<FileBuffer> buffer = std::move(block.buffer_);
     block.state_ = BlockState::kUnloaded;
     DischargeLoaded(block.kind_, block.size_);
-    // The evicted query's grant gets its bytes back either way: on reuse the
-    // *global* charge transfers to the new allocation, but that allocation
-    // was already charged to its own grant by ReserveMemory.
-    DischargeGrant(block);
     if (!result && buffer->size() == reuse_size) {
       // Hand the buffer to the new allocation; its memory charge transfers.
       reused_buffers_.fetch_add(1, std::memory_order_relaxed);
@@ -285,36 +275,19 @@ BufferManager::EvictBlocks(idx_t reuse_size, const GrantState *only_grant)
     std::vector<FixedSpillRequest> requests(batch.size());
     for (idx_t i = 0; i < batch.size(); i++) {
       requests[i].buffer = batch[i]->buffer_.get();
-      requests[i].grant = batch[i]->grant_.get();
     }
     temp_files_.WriteFixedBlocks(requests.data(), requests.size());
     Status first_error;
-    bool io_failure = false;
     for (const auto &request : requests) {
       if (!request.status.ok()) {
-        // Prefer a real I/O error over a quota refusal as the surfaced
-        // status: the former must propagate, the latter only means one
-        // member's query is out of spill quota.
-        if (first_error.ok() || (!io_failure && !request.quota_refused)) {
-          first_error = request.status;
-        }
-        io_failure = io_failure || !request.quota_refused;
+        first_error = request.status;
+        break;
       }
     }
     if (!first_error.ok()) {
       for (idx_t i = 0; i < batch.size(); i++) {
         if (requests[i].status.ok() && requests[i].slot != kInvalidIndex) {
           temp_files_.FreeFixedSlot(requests[i].slot);
-          // The write-time quota charge is undone with the slot.
-          DischargeSpillQuota(*batch[i]);
-        }
-        if (requests[i].quota_refused) {
-          // Out-of-quota block: consume its queue entry, exactly like the
-          // in-memory-only skip — it stays loaded and cannot be offloaded,
-          // so it must stop surfacing as a candidate until re-unpinned.
-          batch[i]->lock_.unlock();
-          note_unlock();
-          continue;
         }
         uint64_t seq = batch[i]->eviction_seq_.fetch_add(
                            1, std::memory_order_relaxed) +
@@ -324,11 +297,6 @@ BufferManager::EvictBlocks(idx_t reuse_size, const GrantState *only_grant)
         enqueue(batch[i], seq, /*front=*/false);
       }
       batch.clear();
-      if (!io_failure) {
-        // Only quota refusals: nothing actually failed. Report "no buffer";
-        // ReserveMemory rescans, now filtering the refused grant's blocks.
-        return std::unique_ptr<FileBuffer>(nullptr);
-      }
       return first_error;
     }
     std::unique_ptr<FileBuffer> result;
@@ -365,16 +333,6 @@ BufferManager::EvictBlocks(idx_t reuse_size, const GrantState *only_grant)
             it = queue.erase(it);  // block was dropped entirely
             continue;
           }
-          if (only_grant != nullptr && handle->grant_.get() != only_grant) {
-            // Grant-restricted scan (a query spilling itself down to fit
-            // its grant): other queries' blocks are not victims. Their
-            // entries stay in the queue untouched — holding them aside
-            // until the scan ends would blind concurrent scans to them.
-            // (grant_ is immutable once the handle is published, so this
-            // read needs no handle lock.)
-            ++it;
-            continue;
-          }
           candidate = std::move(handle);
           entry_seq = it->seq;
           queue.erase(it);
@@ -404,16 +362,10 @@ BufferManager::EvictBlocks(idx_t reuse_size, const GrantState *only_grant)
       oom_rejections_.fetch_add(1, std::memory_order_relaxed);
       MetricsRegistry::Global().Add(key_oom_rejections_, 1);
       record_selection();
-      TraceInstant("oom_rejection", "bm");
-      SSAGG_LOG_INFO(
-          "reservation rejected: memory limit %llu exceeded (%llu used) and "
-          "no page can be evicted",
-          static_cast<unsigned long long>(
-              memory_limit_.load(std::memory_order_relaxed)),
-          static_cast<unsigned long long>(
-              memory_used_.load(std::memory_order_relaxed)));
-      return Status::OutOfMemory(
-          "memory limit exceeded and no page can be evicted");
+      TraceInstant("oom_rejection", "bm", request);
+      Status oom = OutOfMemoryStatus(request);
+      SSAGG_LOG_INFO("reservation rejected: %s", oom.message().c_str());
+      return oom;
     }
     if (!candidate->lock_.try_lock()) {
       // Someone is pinning or evicting this block; its queue entry will be
@@ -436,17 +388,6 @@ BufferManager::EvictBlocks(idx_t reuse_size, const GrantState *only_grant)
       // In-memory-only mode: temporary pages cannot be offloaded. Drop the
       // queue entry and keep looking; with nothing else evictable the
       // reservation fails with OutOfMemory (the engine "aborts").
-      candidate->lock_.unlock();
-      note_unlock();
-      continue;
-    }
-    if (kind != BlockKind::kPersistent && !candidate->can_destroy_ &&
-        candidate->grant_ != nullptr &&
-        !candidate->grant_->CanSpill(candidate->size_)) {
-      // The owning query is out of spill quota: its pages cannot be
-      // offloaded (same treatment as in-memory-only). The write-time gate in
-      // the temporary-file manager stays authoritative; this filter just
-      // keeps doomed candidates out of spill batches.
       candidate->lock_.unlock();
       note_unlock();
       continue;
@@ -485,18 +426,9 @@ BufferManager::EvictBlocks(idx_t reuse_size, const GrantState *only_grant)
       SSAGG_DASSERT(kind == BlockKind::kTemporaryVariable);
       SSAGG_LOG_DEBUG("spilling temporary block of %llu bytes",
                       static_cast<unsigned long long>(size));
-      if (candidate->grant_ != nullptr &&
-          !candidate->grant_->TryChargeSpill(size)) {
-        // Raced past the quota filter above; same outcome — consume the
-        // entry and keep scanning.
-        candidate->lock_.unlock();
-        note_unlock();
-        continue;
-      }
       Status spill =
           temp_files_.WriteVariableBlock(candidate->id_, *candidate->buffer_);
       if (!spill.ok()) {
-        DischargeSpillQuota(*candidate);
         // The block stays loaded and unpinned; re-enqueue it so it remains
         // an eviction candidate for later reservations (its previous queue
         // entry was consumed above). The failed reservation propagates.
@@ -521,63 +453,11 @@ BufferManager::EvictBlocks(idx_t reuse_size, const GrantState *only_grant)
 }
 
 Result<std::unique_ptr<FileBuffer>> BufferManager::ReserveMemory(
-    idx_t size, GrantState *grant) {
+    idx_t size) {
   if (FaultInjector *injector =
           fault_injector_.load(std::memory_order_acquire)) {
     SSAGG_RETURN_NOT_OK(injector->Hit(FaultSite::kAllocate));
   }
-  if (grant != nullptr) {
-    // Per-query arbitration first: the grant is the query's share of the
-    // pool. A grant that cannot grow (pool contended, or an injected kGrant
-    // fault) degrades to spilling the query's *own* pages — exactly the
-    // paper's robustness story, applied per tenant. When even that is
-    // impossible (everything resident is pinned), the charge overdrafts the
-    // grant rather than failing: grants are arbitration policy, and a query
-    // must not die for pool contention it cannot relieve. The global limit
-    // below remains the hard bound that arbitrates overdrafts.
-    //
-    // The retry loop must be stall-bounded: a grant-restricted scan that
-    // frees nothing is not always terminal (a concurrent eviction batch may
-    // briefly hold the only candidates locked), but unbounded retries
-    // against an all-pinned resident set would spin forever — observed as a
-    // livelock between two tight-grant queries spilling themselves down
-    // simultaneously.
-    constexpr idx_t kGrantEvictStalls = 16;
-    Status charged = grant->Charge(size);
-    idx_t stalls = 0;
-    while (!charged.ok()) {
-      idx_t used_before = grant->used();
-      auto evicted = EvictBlocks(/*reuse_size=*/0, grant);
-      if (!evicted.ok()) {
-        if (!evicted.status().IsOutOfMemory()) {
-          return evicted.status();  // I/O failure while spilling ourselves
-        }
-        // Grant exhausted and nothing of ours left to evict: overdraft.
-        grant->ChargeOverdraft(size);
-        break;
-      }
-      charged = grant->Charge(size);
-      if (charged.ok()) {
-        break;
-      }
-      if (grant->used() < used_before) {
-        stalls = 0;  // the scan freed some of our bytes; keep going
-        continue;
-      }
-      if (++stalls >= kGrantEvictStalls) {
-        grant->ChargeOverdraft(size);  // persistent stall: stop spinning
-        break;
-      }
-      std::this_thread::yield();
-    }
-  }
-  // The grant must not stay charged if the global reservation fails below.
-  auto discharge_on_error = [&](const Status &error) {
-    if (grant != nullptr) {
-      grant->Discharge(size);
-    }
-    return error;
-  };
   while (true) {
     idx_t current = memory_used_.load(std::memory_order_relaxed);
     if (current + size <= memory_limit_.load(std::memory_order_relaxed)) {
@@ -593,12 +473,10 @@ Result<std::unique_ptr<FileBuffer>> BufferManager::ReserveMemory(
     // memory so usage converges below it.
     bool allow_reuse =
         current <= memory_limit_.load(std::memory_order_relaxed);
-    auto evicted = EvictBlocks(allow_reuse ? size : 0);
-    if (!evicted.ok()) {
-      return discharge_on_error(evicted.status());
-    }
-    if (evicted.value()) {
-      return std::move(evicted.value());  // charge transferred with buffer
+    SSAGG_ASSIGN_OR_RETURN(auto evicted,
+                           EvictBlocks(allow_reuse ? size : 0, size));
+    if (evicted) {
+      return evicted;  // charge transferred with buffer
     }
   }
 }
@@ -608,8 +486,7 @@ Result<BufferHandle> BufferManager::Allocate(
   SSAGG_ASSERT(size > 0);
   BlockKind kind = size == kPageSize ? BlockKind::kTemporaryFixed
                                      : BlockKind::kTemporaryVariable;
-  GrantState *grant = GrantScope::Current();
-  SSAGG_ASSIGN_OR_RETURN(auto buffer, ReserveMemory(size, grant));
+  SSAGG_ASSIGN_OR_RETURN(auto buffer, ReserveMemory(size));
   if (!buffer) {
     buffer = std::make_unique<FileBuffer>(size);
   }
@@ -621,11 +498,6 @@ Result<BufferHandle> BufferManager::Allocate(
     // The handle has not been published yet; the lock is uncontended and
     // taken only to satisfy the capability analysis uniformly.
     ScopedLock lock(handle->lock_);
-    if (grant != nullptr) {
-      // Tag the block so every later charge/discharge (eviction, reload,
-      // destroy) lands on the same query, whichever thread performs it.
-      handle->grant_ = grant->shared_from_this();
-    }
     handle->buffer_ = std::move(buffer);
     handle->state_ = BlockState::kLoaded;
     handle->readers_.store(1, std::memory_order_relaxed);
@@ -689,12 +561,8 @@ Result<BufferHandle> BufferManager::Pin(
     return BufferHandle(handle, handle->buffer_.get());
   }
   // Block must be loaded from storage; make room first. Deadlock with
-  // concurrent pins is avoided because eviction uses try_lock. The reload
-  // charges the block's own grant (not the pinning thread's scope): a
-  // foreign introspection thread pinning a session's page must not charge
-  // its own query.
-  SSAGG_ASSIGN_OR_RETURN(auto buffer,
-                         ReserveMemory(handle->size_, handle->grant_.get()));
+  // concurrent pins is avoided because eviction uses try_lock.
+  SSAGG_ASSIGN_OR_RETURN(auto buffer, ReserveMemory(handle->size_));
   if (!buffer) {
     buffer = std::make_unique<FileBuffer>(handle->size_);
   }
@@ -711,7 +579,6 @@ Result<BufferHandle> BufferManager::Pin(
       // dropped (no leaked slot, no dangling reference).
       if (read_status.ok()) {
         handle->temp_slot_ = kInvalidIndex;
-        DischargeSpillQuota(*handle);
       }
       break;
     case BlockKind::kTemporaryVariable:
@@ -719,13 +586,11 @@ Result<BufferHandle> BufferManager::Pin(
       read_status = temp_files_.ReadVariableBlock(handle->id_, *buffer);
       if (read_status.ok()) {
         handle->spilled_to_own_file_ = false;
-        DischargeSpillQuota(*handle);
       }
       break;
   }
   if (!read_status.ok()) {
     memory_used_.fetch_sub(handle->size_, std::memory_order_relaxed);
-    DischargeGrant(*handle);
     return read_status;
   }
   handle->buffer_ = std::move(buffer);
@@ -772,12 +637,6 @@ void BufferManager::Prefetch(const std::shared_ptr<BlockHandle> &handle) {
     if (!TryReserveForPrefetch(handle->size_)) {
       return;  // memory is tight; the eventual Pin will evict as usual
     }
-    if (handle->grant_ != nullptr && !handle->grant_->TryCharge(handle->size_)) {
-      // Speculative like the global half: never grow the grant for a
-      // prefetch. The demand Pin charges (and grows) properly.
-      memory_used_.fetch_sub(handle->size_, std::memory_order_relaxed);
-      return;
-    }
     handle->buffer_ = std::make_unique<FileBuffer>(handle->size_);
     handle->state_ = BlockState::kLoading;
     raw = handle->buffer_.get();
@@ -800,13 +659,11 @@ void BufferManager::FinishPrefetch(const std::shared_ptr<BlockHandle> &handle,
     if (status.ok()) {
       // The temporary-file manager released the slot with the read.
       handle->temp_slot_ = kInvalidIndex;
-      DischargeSpillQuota(*handle);
       if (handle->destroyed_) {
         // Destroyed mid-flight: drop the freshly loaded contents.
         handle->buffer_.reset();
         handle->state_ = BlockState::kUnloaded;
         memory_used_.fetch_sub(handle->size_, std::memory_order_relaxed);
-        DischargeGrant(*handle);
       } else {
         handle->state_ = BlockState::kLoaded;
         handle->eviction_seq_.fetch_add(1, std::memory_order_relaxed);
@@ -827,12 +684,10 @@ void BufferManager::FinishPrefetch(const std::shared_ptr<BlockHandle> &handle,
       handle->buffer_.reset();
       handle->state_ = BlockState::kUnloaded;
       memory_used_.fetch_sub(handle->size_, std::memory_order_relaxed);
-      DischargeGrant(*handle);
       if (handle->destroyed_) {
         if (handle->temp_slot_ != kInvalidIndex) {
           temp_files_.FreeFixedSlot(handle->temp_slot_);
           handle->temp_slot_ = kInvalidIndex;
-          DischargeSpillQuota(*handle);
         }
       } else {
         handle->load_error_ = status;
@@ -859,7 +714,6 @@ void BufferManager::Unpin(BlockHandle &block) {
     block.state_ = BlockState::kUnloaded;
     DischargeLoaded(block.kind_, block.size_);
     memory_used_.fetch_sub(block.size_, std::memory_order_relaxed);
-    DischargeGrant(block);
     return;
   }
   // Becomes an eviction candidate.
@@ -893,7 +747,6 @@ void BufferManager::DestroyBlock(const std::shared_ptr<BlockHandle> &handle) {
       handle->state_ = BlockState::kUnloaded;
       DischargeLoaded(handle->kind_, handle->size_);
       memory_used_.fetch_sub(handle->size_, std::memory_order_relaxed);
-      DischargeGrant(*handle);
     }
     // else: freed by the final Unpin.
     return;
@@ -902,12 +755,10 @@ void BufferManager::DestroyBlock(const std::shared_ptr<BlockHandle> &handle) {
   if (handle->temp_slot_ != kInvalidIndex) {
     temp_files_.FreeFixedSlot(handle->temp_slot_);
     handle->temp_slot_ = kInvalidIndex;
-    DischargeSpillQuota(*handle);
   }
   if (handle->spilled_to_own_file_) {
     temp_files_.FreeVariableBlock(handle->id_);
     handle->spilled_to_own_file_ = false;
-    DischargeSpillQuota(*handle);
   }
 }
 
@@ -929,27 +780,22 @@ void BufferManager::CleanupDroppedBlock(BlockHandle &block) {
     block.buffer_.reset();
     DischargeLoaded(block.kind_, block.size_);
     memory_used_.fetch_sub(block.size_, std::memory_order_relaxed);
-    DischargeGrant(block);
     return;
   }
   if (block.temp_slot_ != kInvalidIndex) {
     temp_files_.FreeFixedSlot(block.temp_slot_);
-    DischargeSpillQuota(block);
   }
   if (block.spilled_to_own_file_) {
     temp_files_.FreeVariableBlock(block.id_);
-    DischargeSpillQuota(block);
   }
 }
 
 Result<NonPagedAllocation> BufferManager::AllocateNonPaged(idx_t size) {
-  GrantState *grant = GrantScope::Current();
-  SSAGG_ASSIGN_OR_RETURN(auto reused, ReserveMemory(size, grant));
+  SSAGG_ASSIGN_OR_RETURN(auto reused, ReserveMemory(size));
   reused.reset();  // a page buffer cannot back a non-paged allocation
   data_ptr_t data = new data_t[size];
   non_paged_bytes_.fetch_add(size, std::memory_order_relaxed);
-  return NonPagedAllocation(
-      this, data, size, grant != nullptr ? grant->shared_from_this() : nullptr);
+  return NonPagedAllocation(this, data, size);
 }
 
 void BufferManager::FreeNonPaged(idx_t size) {
@@ -958,10 +804,7 @@ void BufferManager::FreeNonPaged(idx_t size) {
 }
 
 Status BufferManager::ReserveExternalMemory(idx_t size) {
-  // Deliberately ungranted: the external-memory path is only used by the
-  // baseline sort models, whose Free calls are not tied to a session scope —
-  // a grant charged here could not be reliably returned.
-  SSAGG_ASSIGN_OR_RETURN(auto reused, ReserveMemory(size, nullptr));
+  SSAGG_ASSIGN_OR_RETURN(auto reused, ReserveMemory(size));
   // An evicted buffer cannot back an external allocation; release the
   // physical memory but keep the charge (it now accounts for the caller's
   // allocation).

@@ -19,7 +19,6 @@
 namespace ssagg {
 
 class FaultInjector;
-class GrantState;
 
 /// Which pages are evicted first when memory is needed (Section VII,
 /// "Loading & Spilling"). kMixed is DuckDB's default: one LRU queue for all
@@ -78,10 +77,8 @@ struct BufferManagerSnapshot {
 class NonPagedAllocation {
  public:
   NonPagedAllocation() = default;
-  NonPagedAllocation(BufferManager *manager, data_ptr_t data, idx_t size,
-                     std::shared_ptr<GrantState> grant = nullptr)
-      : manager_(manager), data_(data), size_(size),
-        grant_(std::move(grant)) {}
+  NonPagedAllocation(BufferManager *manager, data_ptr_t data, idx_t size)
+      : manager_(manager), data_(data), size_(size) {}
   ~NonPagedAllocation() { Reset(); }
 
   NonPagedAllocation(const NonPagedAllocation &) = delete;
@@ -102,9 +99,6 @@ class NonPagedAllocation {
   BufferManager *manager_ = nullptr;
   data_ptr_t data_ = nullptr;
   idx_t size_ = 0;
-  /// Grant this allocation is charged against (service sessions only);
-  /// discharged by Reset.
-  std::shared_ptr<GrantState> grant_;
 };
 
 /// Construction-time knobs of the buffer manager's spill I/O path.
@@ -272,13 +266,8 @@ class BufferManager {
 
   /// Makes room for `size` bytes, evicting pages as needed. On success the
   /// reservation is charged to memory_used_. If an evicted buffer has
-  /// exactly the requested size it is returned for reuse. When `grant` is
-  /// set (multi-tenant service sessions) the reservation is additionally
-  /// charged against that query's grant first; a grant that cannot grow
-  /// degrades to evicting the query's *own* pages (EvictBlocks restricted to
-  /// the grant) before the charge fails with OutOfMemory.
-  Result<std::unique_ptr<FileBuffer>> ReserveMemory(idx_t size,
-                                                    GrantState *grant);
+  /// exactly the requested size it is returned for reuse.
+  Result<std::unique_ptr<FileBuffer>> ReserveMemory(idx_t size);
 
   /// Like ReserveMemory but speculative: only consumes spare headroom —
   /// never evicts and never consults the fault injector. Used by Prefetch.
@@ -289,24 +278,15 @@ class BufferManager {
   /// reusable for `reuse_size` (nullptr if memory was freed instead); an
   /// error if no evictable block exists or a spill write failed. A failed
   /// batch rolls back completely: every member block stays loaded, its slot
-  /// is released and it is re-enqueued as an eviction candidate.
-  ///
-  /// When `only_grant` is set, only blocks charged to that grant are
-  /// considered; other queries' entries are put back untouched (a query
-  /// spilling to fit inside its shrunken grant must not evict its
-  /// neighbours). Blocks whose grant is out of per-query spill quota are
-  /// skipped like in-memory-only pages: with nothing else evictable the
-  /// reservation fails with OutOfMemory, isolating the quota breach.
-  Result<std::unique_ptr<FileBuffer>> EvictBlocks(
-      idx_t reuse_size, const GrantState *only_grant = nullptr);
+  /// is released and it is re-enqueued as an eviction candidate. `request`
+  /// is the reservation being served; it only feeds the OutOfMemory message.
+  Result<std::unique_ptr<FileBuffer>> EvictBlocks(idx_t reuse_size,
+                                                  idx_t request);
 
-  /// Returns a loaded block's resident charge to its grant, if any. Called
-  /// at every point the block's buffer is freed or its charge transferred.
-  static void DischargeGrant(BlockHandle &block) SSAGG_REQUIRES(block.lock_);
-  /// Returns a spilled block's quota charge to its grant, if any. Called at
-  /// every point the block's spill state (slot / own file) is released.
-  static void DischargeSpillQuota(BlockHandle &block)
-      SSAGG_REQUIRES(block.lock_);
+  /// The OutOfMemory of a reservation of `request` bytes that nothing could
+  /// be evicted for: names the request, the limit and where the used bytes
+  /// are (persistent, temporary and non-paged residents, live pins).
+  Status OutOfMemoryStatus(idx_t request) const;
 
   /// Publishes the result of an asynchronous prefetch read; runs on the
   /// backend's completing thread.

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <numeric>
 
-#include "buffer/memory_grant.h"
 #include "common/constants.h"
 #include "compression/codec.h"
 #include "observe/flight_recorder.h"
@@ -121,17 +120,6 @@ void TemporaryFileManager::WriteFixedBlocks(FixedSpillRequest *requests,
     file = fixed_file_.get();
     for (idx_t i = 0; i < count; i++) {
       SSAGG_DASSERT(requests[i].buffer->size() == kPageSize);
-      // Per-query spill quota gate: a refused entry takes no slot and does
-      // no I/O. Quota counts logical (pre-compression) bytes so the codec
-      // choice cannot change a tenant's admission behaviour.
-      if (requests[i].grant != nullptr &&
-          !requests[i].grant->TryChargeSpill(kPageSize)) {
-        requests[i].quota_refused = true;
-        requests[i].status = Status::OutOfMemory(
-            "per-query spill quota exceeded (" +
-            std::to_string(requests[i].grant->spill_quota()) + " bytes)");
-        continue;
-      }
       if (!free_slots_.empty()) {
         requests[i].slot = free_slots_.back();
         free_slots_.pop_back();
@@ -143,16 +131,6 @@ void TemporaryFileManager::WriteFixedBlocks(FixedSpillRequest *requests,
     }
     UpdatePeakLocked();
   }
-  // Entries that passed the gate (quota-refused ones keep slot ==
-  // kInvalidIndex and are skipped below).
-  std::vector<idx_t> eligible;
-  eligible.reserve(count);
-  for (idx_t i = 0; i < count; i++) {
-    if (requests[i].slot != kInvalidIndex) {
-      eligible.push_back(i);
-    }
-  }
-
   /// One physical submission covering one or more requests.
   struct Submission {
     std::vector<idx_t> members;   // indices into requests
@@ -174,7 +152,7 @@ void TemporaryFileManager::WriteFixedBlocks(FixedSpillRequest *requests,
     // forfeit the byte savings. The codec pass itself runs in the request's
     // prepare hook, i.e. on the backend's executor: async backends overlap
     // compression across their workers while the evictor keeps submitting.
-    for (idx_t i : eligible) {
+    for (idx_t i = 0; i < count; i++) {
       Submission sub;
       sub.members.push_back(i);
       sub.offset = requests[i].slot * kPageSize;
@@ -193,7 +171,8 @@ void TemporaryFileManager::WriteFixedBlocks(FixedSpillRequest *requests,
     // unlimited runs: one thread, fewer syscalls wins.
     const idx_t max_run =
         io_backend_->kind() == IoBackendKind::kSync ? count : idx_t(4);
-    std::vector<idx_t> order = eligible;
+    std::vector<idx_t> order(count);
+    std::iota(order.begin(), order.end(), idx_t{0});
     std::sort(order.begin(), order.end(), [&](idx_t a, idx_t b) {
       return requests[a].slot < requests[b].slot;
     });
@@ -298,16 +277,12 @@ void TemporaryFileManager::WriteFixedBlocks(FixedSpillRequest *requests,
         requests[member].status = Status::OK();
       }
     } else {
-      // Roll the slots back: a failed spill must not leak temp-file space or
-      // quota charges (the caller keeps the in-memory pages and propagates
-      // the error).
+      // Roll the slots back: a failed spill must not leak temp-file space
+      // (the caller keeps the in-memory pages and propagates the error).
       for (idx_t member : sub.members) {
         requests[member].status = sub.status;
         FreeFixedSlot(requests[member].slot);
         requests[member].slot = kInvalidIndex;
-        if (requests[member].grant != nullptr) {
-          requests[member].grant->DischargeSpill(kPageSize);
-        }
       }
     }
   }

@@ -17,24 +17,13 @@
 
 namespace ssagg {
 
-class GrantState;
-
 /// One page of a batched fixed-size spill (TemporaryFileManager::
 /// WriteFixedBlocks). `buffer` is the caller's; `slot` and `status` are
-/// filled per entry: a failed entry has released its slot and carries no
-/// spill-quota charge.
+/// filled per entry: a failed entry has released its slot.
 struct FixedSpillRequest {
   const FileBuffer *buffer = nullptr;
-  /// The owning query's grant, when the page belongs to a multi-tenant
-  /// session: the write is gated on (and charged against) its per-query
-  /// spill quota. nullptr disables quota accounting for this entry.
-  GrantState *grant = nullptr;
   idx_t slot = kInvalidIndex;
   Status status;
-  /// Set (with an OutOfMemory status) when the entry was refused by its
-  /// grant's spill quota before any I/O: no slot was taken and nothing was
-  /// written. Lets callers distinguish quota isolation from real failures.
-  bool quota_refused = false;
 };
 
 /// Manages spilled temporary data in storage (Section III, "Temporary

@@ -47,7 +47,6 @@ enum class LockRank : std::uint16_t {
 
   // --- Buffer / spill (DESIGN.md section 9 core hierarchy) ---------------
   kBlockHandle = 30,        // BlockHandle::lock_
-  kGrantPool = 40,          // MemoryGrantPool::lock_
   kEvictionQueue = 50,      // BufferManager::queue_lock_
   kTempFileManager = 60,    // TemporaryFileManager::lock_
 

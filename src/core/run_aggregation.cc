@@ -3,7 +3,6 @@
 #include <chrono>
 #include <optional>
 
-#include "buffer/memory_grant.h"
 #include "observe/flight_recorder.h"
 
 namespace ssagg {
@@ -49,21 +48,7 @@ Result<HashAggregateStats> RunGroupedAggregation(
     const std::vector<idx_t> &group_columns,
     const std::vector<AggregateRequest> &aggregates, DataSink &output,
     TaskExecutor &executor, HashAggregateConfig config,
-    QueryProfile *profile, QueryProgress *progress, GrantState *grant) {
-  // Charge the whole query — operator construction on this thread plus both
-  // execution phases on the executor's workers — to the session's grant.
-  // The executor's prior grant is restored on every return path, so a
-  // service can share one executor across back-to-back sessions.
-  GrantScope grant_scope(grant != nullptr ? grant : GrantScope::Current());
-  GrantState *prev_executor_grant = executor.memory_grant();
-  if (grant != nullptr) {
-    executor.SetMemoryGrant(grant);
-  }
-  struct ExecutorGrantRestore {
-    TaskExecutor &executor;
-    GrantState *prev;
-    ~ExecutorGrantRestore() { executor.SetMemoryGrant(prev); }
-  } restore_grant{executor, prev_executor_grant};
+    QueryProfile *profile, QueryProgress *progress) {
   if (config.expected_input_rows == kInvalidIndex) {
     // The planner extrapolates its sampled distinct count with this.
     config.expected_input_rows = source.EstimatedRowCount();

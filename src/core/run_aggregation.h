@@ -31,19 +31,12 @@ namespace ssagg {
 /// end-to-end latency lands in the "query.latency_ns" histogram, and an
 /// error Status triggers a flight-recorder anomaly dump (when
 /// SSAGG_FLIGHT_DUMP is configured).
-///
-/// When `grant` is non-null every buffer-manager reservation the query
-/// makes — on the calling thread and on the executor's workers — is charged
-/// against that per-query memory grant (multi-tenant arbitration; see
-/// QueryService). The executor's previously installed grant is restored on
-/// return.
 Result<HashAggregateStats> RunGroupedAggregation(
     BufferManager &buffer_manager, DataSource &source,
     const std::vector<idx_t> &group_columns,
     const std::vector<AggregateRequest> &aggregates, DataSink &output,
     TaskExecutor &executor, HashAggregateConfig config = {},
-    QueryProfile *profile = nullptr, QueryProgress *progress = nullptr,
-    GrantState *grant = nullptr);
+    QueryProfile *profile = nullptr, QueryProgress *progress = nullptr);
 
 /// Flattens operator stats into a profile's "agg.*" counters (shared by
 /// RunGroupedAggregation and benches that drive the operator directly).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "buffer/memory_grant.h"
 #include "observe/flight_recorder.h"
 #include "observe/metrics.h"
 
@@ -187,10 +186,6 @@ Status TaskExecutor::RunPipeline(DataSource &source, DataSink &sink,
   TraceSpan pipeline_span("pipeline", "exec");
   ErrorCollector errors;
   std::function<void()> worker = [&]() {
-    // The session's grant travels to every worker: pool threads have no
-    // scope of their own, and inline execution (num_threads <= 1) nests
-    // harmlessly inside the caller's identical scope.
-    GrantScope grant_scope(memory_grant_);
     TraceSpan worker_span("worker", "exec");
     ExecutorStats local;
     local.workers = 1;
@@ -269,7 +264,6 @@ Status TaskExecutor::RunTasks(const std::vector<std::function<Status()>> &tasks)
   ErrorCollector errors;
   std::atomic<idx_t> next{0};
   std::function<void()> worker = [&]() {
-    GrantScope grant_scope(memory_grant_);
     ExecutorStats local;
     auto worker_start = Clock::now();
     while (!errors.Failed()) {

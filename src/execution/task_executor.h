@@ -13,8 +13,6 @@
 
 namespace ssagg {
 
-class GrantState;
-
 /// Per-run observability counters of the executor, summed over workers.
 /// Seconds are cumulative thread time, so with N workers busy the whole
 /// run, source+sink+combine+task approaches N x wall clock; the gap between
@@ -67,14 +65,6 @@ class TaskExecutor {
   void ClearDeadline() { has_deadline_ = false; }
   Status CheckDeadline() const;
 
-  /// Installs the query's memory grant on every worker for the duration of
-  /// each run (GrantScope around the worker body), so all buffer-manager
-  /// reservations made by the run are charged to it. nullptr clears. Set by
-  /// the QueryService before a session's run; like SetDeadline, not
-  /// thread-safe against a run in flight.
-  void SetMemoryGrant(GrantState *grant) { memory_grant_ = grant; }
-  [[nodiscard]] GrantState *memory_grant() const { return memory_grant_; }
-
   /// Executes one pipeline: every worker repeatedly pulls a chunk from the
   /// source and pushes it into the sink, then combines its local state.
   /// When `progress` is given, each worker publishes its consumed rows into
@@ -109,7 +99,6 @@ class TaskExecutor {
   idx_t num_threads_;
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_{};
-  GrantState *memory_grant_ = nullptr;
 
   mutable Mutex stats_lock_{LockRank::kExecutorStats,
                             "TaskExecutor::stats_lock_"};

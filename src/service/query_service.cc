@@ -10,13 +10,30 @@ namespace ssagg {
 
 namespace {
 using Clock = std::chrono::steady_clock;
+
+/// Options a session cannot be admitted under: with no running slot every
+/// caller would wait out its whole timeout, and a timeout that is NaN,
+/// negative, infinite or too large for `now + timeout` to fit the clock has
+/// no defined deadline.
+Status ValidateOptions(const QueryServiceOptions &options) {
+  if (options.max_concurrent == 0) {
+    return Status::InvalidArgument("QueryServiceOptions::max_concurrent is 0");
+  }
+  const double max_timeout =
+      std::chrono::duration<double>(Clock::duration::max()).count() / 2;
+  const double timeout = options.admission_timeout_seconds;
+  if (!(timeout >= 0 && timeout <= max_timeout)) {
+    return Status::InvalidArgument(
+        "QueryServiceOptions::admission_timeout_seconds out of range: " +
+        std::to_string(timeout));
+  }
+  return Status::OK();
+}
 }  // namespace
 
 QueryService::QueryService(BufferManager &buffer_manager,
                            QueryServiceOptions options)
-    : buffer_manager_(buffer_manager),
-      options_(options),
-      grant_pool_(buffer_manager.memory_limit(), options.grant_chunk_bytes) {
+    : buffer_manager_(buffer_manager), options_(options) {
   MetricsRegistry &registry = MetricsRegistry::Global();
   key_submitted_ = registry.KeyId("svc.submitted");
   key_admitted_ = registry.KeyId("svc.admitted");
@@ -30,24 +47,12 @@ QueryService::QueryService(BufferManager &buffer_manager,
 
 QueryService::~QueryService() {
   // Callers own the threads driving Execute and must join them first; by
-  // then every session has left (shed or finished) and the pool is empty.
+  // then every session has left (shed or finished).
   ScopedLock guard(lock_);
   SSAGG_DASSERT(active_ == 0 && queue_.empty() && sessions_.empty());
 }
 
-idx_t QueryService::InitialGrantBytes(const QuerySpec &spec) const {
-  idx_t initial =
-      spec.memory_estimate != 0
-          ? spec.memory_estimate
-          : grant_pool_.total() / std::max<idx_t>(options_.max_concurrent, 1);
-  initial = std::max(initial, options_.min_grant_bytes);
-  return std::min(initial, grant_pool_.total());
-}
-
-Result<MemoryGrant> QueryService::Admit(const QuerySpec &spec,
-                                        QueryProgress *progress) {
-  const idx_t initial = InitialGrantBytes(spec);
-  const idx_t floor = std::min(options_.min_grant_bytes, initial);
+Status QueryService::Admit(QueryProgress *progress) {
   const auto deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(
@@ -57,18 +62,8 @@ Result<MemoryGrant> QueryService::Admit(const QuerySpec &spec,
   ScopedLock guard(lock_);
   // Fast path: nobody in line and a free slot.
   if (queue_.empty() && active_ < options_.max_concurrent) {
-    auto grant =
-        grant_pool_.TryAcquire(initial, floor, options_.spill_quota_bytes);
-    if (grant.ok()) {
-      active_++;
-      return grant;
-    }
-    if (active_ == 0) {
-      // Nothing is running, so waiting cannot free pool bytes: surface the
-      // acquisition failure (injected fault, or a pool smaller than the
-      // minimum grant) instead of parking the caller until timeout.
-      return grant.status();
-    }
+    active_++;
+    return Status::OK();
   }
   if (queue_.size() >= options_.max_queue_depth) {
     shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
@@ -87,21 +82,12 @@ Result<MemoryGrant> QueryService::Admit(const QuerySpec &spec,
   while (true) {
     // FIFO: only the head of the line may take a freed slot.
     if (queue_.front() == ticket && active_ < options_.max_concurrent) {
-      auto grant =
-          grant_pool_.TryAcquire(initial, floor, options_.spill_quota_bytes);
-      if (grant.ok()) {
-        queue_.pop_front();
-        active_++;
-        // The next waiter may be admittable too (several sessions can
-        // finish while the head sleeps).
-        admit_cv_.NotifyAll();
-        return grant;
-      }
-      if (active_ == 0) {
-        queue_.pop_front();
-        admit_cv_.NotifyAll();
-        return grant.status();
-      }
+      queue_.pop_front();
+      active_++;
+      // The next waiter may be admittable too (several sessions can
+      // finish while the head sleeps).
+      admit_cv_.NotifyAll();
+      return Status::OK();
     }
     const auto now = Clock::now();
     if (now >= deadline) {
@@ -131,6 +117,7 @@ Result<HashAggregateStats> QueryService::Execute(const QuerySpec &spec,
   if (spec.source == nullptr || spec.output == nullptr) {
     return Status::InvalidArgument("QuerySpec needs a source and an output");
   }
+  SSAGG_RETURN_NOT_OK(ValidateOptions(options_));
   MetricsRegistry &registry = MetricsRegistry::Global();
   submitted_.fetch_add(1, std::memory_order_relaxed);
   registry.Add(key_submitted_, 1);
@@ -153,13 +140,12 @@ Result<HashAggregateStats> QueryService::Execute(const QuerySpec &spec,
     sessions_.push_back(std::move(session));
   }
 
-  auto admitted = Admit(spec, prog);
+  Status admitted = Admit(prog);
   if (!admitted.ok()) {
     prog->Finish(/*ok=*/false);
     RemoveSession(id);
-    return admitted.status();
+    return admitted;
   }
-  MemoryGrant grant = admitted.MoveValue();
   const auto wait_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                            t_submit)
@@ -173,11 +159,7 @@ Result<HashAggregateStats> QueryService::Execute(const QuerySpec &spec,
   TaskExecutor executor(threads);
   auto result = RunGroupedAggregation(
       buffer_manager_, *spec.source, spec.group_columns, spec.aggregates,
-      *spec.output, executor, spec.config, profile, prog, grant.state());
-
-  // Return the grant before opening the slot, so the waiter we wake finds
-  // the bytes it needs already back in the pool.
-  grant.Release();
+      *spec.output, executor, spec.config, profile, prog);
   {
     ScopedLock guard(lock_);
     SSAGG_DASSERT(active_ > 0);

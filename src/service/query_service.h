@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "buffer/buffer_manager.h"
-#include "buffer/memory_grant.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "core/run_aggregation.h"
@@ -17,26 +16,18 @@
 
 namespace ssagg {
 
-class FaultInjector;
-
-/// Tuning knobs of a QueryService (DESIGN.md section 13).
+/// Tuning knobs of a QueryService (DESIGN.md section 13). Execute rejects
+/// out-of-range values with InvalidArgument.
 struct QueryServiceOptions {
-  /// Sessions running concurrently; arrivals past this wait in the
-  /// admission queue.
+  /// Sessions running concurrently (at least 1); arrivals past this wait in
+  /// the admission queue.
   idx_t max_concurrent = 4;
   /// Waiting sessions past which new arrivals are shed immediately with
   /// kAborted ("admission queue full").
   idx_t max_queue_depth = 16;
   /// Longest a session may wait for admission before it is shed with
-  /// kTimeout.
+  /// kTimeout. Finite and non-negative.
   double admission_timeout_seconds = 30.0;
-  /// Smallest grant a session runs with; also the reclaim floor below which
-  /// the pool never shrinks an active grant.
-  idx_t min_grant_bytes = idx_t{1} << 20;
-  /// Granularity of on-demand grant growth.
-  idx_t grant_chunk_bytes = idx_t{256} * 1024;
-  /// Per-query spill quota in logical bytes; 0 = unlimited.
-  idx_t spill_quota_bytes = 0;
   /// Default worker threads per session (QuerySpec::threads overrides).
   idx_t threads = 2;
 };
@@ -52,9 +43,6 @@ struct QuerySpec {
   HashAggregateConfig config;
   /// 0 = service default.
   idx_t threads = 0;
-  /// Footprint estimate in bytes, used to size the initial grant; 0 = an
-  /// equal share of the pool (total / max_concurrent).
-  idx_t memory_estimate = 0;
 };
 
 /// Cumulative service counters plus the live queue picture.
@@ -77,17 +65,17 @@ struct QuerySessionSnapshot {
 };
 
 /// Multi-tenant front end over one shared BufferManager: accepts many
-/// concurrent RunGroupedAggregation sessions and arbitrates the global
-/// memory limit between them through per-query grants (MemoryGrantPool).
+/// concurrent RunGroupedAggregation sessions and bounds how many run at
+/// once.
 ///
 /// Admission is FIFO with a hard concurrency cap: a session past the cap
 /// waits in a bounded queue (kQueued phase on its QueryProgress) until a
 /// running session finishes, sheds with kAborted when the queue is full,
 /// and with kTimeout when it waits longer than the admission timeout — all
 /// clean Statuses, never a crash or a hung caller. Each admitted session
-/// runs with its own TaskExecutor, its grant installed on every worker, and
-/// (optionally) a per-query spill quota enforced by the
-/// TemporaryFileManager.
+/// runs with its own TaskExecutor and allocates from the shared
+/// BufferManager like any other caller: one memory limit and one eviction
+/// queue for every session's pages (DESIGN.md section 13).
 ///
 /// Thread-safe: Execute may be called from any number of threads.
 class QueryService {
@@ -101,9 +89,8 @@ class QueryService {
 
   /// Runs one grouped aggregation to completion (synchronous; callers
   /// provide their own threads for concurrency). Returns the operator stats
-  /// on success; admission shed/timeout and execution failures come back as
-  /// the clean Status — with the session's grant fully returned to the pool
-  /// either way.
+  /// on success; invalid options, admission shed/timeout and execution
+  /// failures come back as the clean Status.
   Result<HashAggregateStats> Execute(const QuerySpec &spec,
                                      QueryProfile *profile = nullptr,
                                      QueryProgress *progress = nullptr);
@@ -113,15 +100,8 @@ class QueryService {
   /// order (what a /sessions endpoint would serve).
   [[nodiscard]] std::vector<QuerySessionSnapshot> Sessions() const;
 
-  [[nodiscard]] MemoryGrantPool &grant_pool() { return grant_pool_; }
   [[nodiscard]] BufferManager &buffer_manager() { return buffer_manager_; }
   [[nodiscard]] const QueryServiceOptions &options() const { return options_; }
-
-  /// Installs a deterministic fault injector on the grant pool
-  /// (FaultSite::kGrant: acquire + grow). Not owned.
-  void SetFaultInjector(FaultInjector *injector) {
-    grant_pool_.SetFaultInjector(injector);
-  }
 
  private:
   struct Session {
@@ -130,16 +110,12 @@ class QueryService {
     std::unique_ptr<QueryProgress> owned;
   };
 
-  /// Blocks until the session is admitted (returning its grant) or shed.
-  Result<MemoryGrant> Admit(const QuerySpec &spec, QueryProgress *progress);
-  /// Initial grant size for a spec: the caller's estimate or an equal share
-  /// of the pool, clamped to [min_grant_bytes, pool total].
-  [[nodiscard]] idx_t InitialGrantBytes(const QuerySpec &spec) const;
+  /// Blocks until the session takes a running slot (OK) or is shed.
+  Status Admit(QueryProgress *progress);
   void RemoveSession(uint64_t id);
 
   BufferManager &buffer_manager_;
   const QueryServiceOptions options_;
-  MemoryGrantPool grant_pool_;
 
   mutable Mutex lock_{LockRank::kQueryService, "QueryService::lock_"};
   CondVar admit_cv_;

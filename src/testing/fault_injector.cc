@@ -30,8 +30,6 @@ const char *FaultSiteName(FaultSite site) {
       return "async_complete";
     case FaultSite::kAsyncCoalesce:
       return "async_coalesce";
-    case FaultSite::kGrant:
-      return "grant";
     case FaultSite::kSiteCount:
       break;
   }
@@ -73,8 +71,7 @@ Status FaultInjector::Hit(FaultSite site) {
     faults_++;
     std::string msg = std::string("injected ") + FaultSiteName(site) +
                       " fault at operation #" + std::to_string(op);
-    if (site == FaultSite::kAllocate || site == FaultSite::kPin ||
-        site == FaultSite::kGrant) {
+    if (site == FaultSite::kAllocate || site == FaultSite::kPin) {
       status = Status::OutOfMemory(std::move(msg));
     } else {
       status = Status::IOError(std::move(msg));

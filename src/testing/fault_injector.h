@@ -27,9 +27,6 @@ enum class FaultSite : uint8_t {
                    // I/O after the fact, on the completing thread)
   kAsyncCoalesce,  // TemporaryFileManager merging adjacent slots into one
                    // coalesced write (fails the merged submission)
-  kGrant,          // MemoryGrantPool acquire / grow (multi-tenant admission):
-                   // an injected fault refuses the grant operation, which the
-                   // caller degrades to spilling or queueing, never a crash
   kSiteCount,
 };
 
@@ -47,8 +44,7 @@ constexpr uint32_t kFaultIoSites =
     FaultSiteBit(FaultSite::kTruncate);
 
 constexpr uint32_t kFaultMemorySites = FaultSiteBit(FaultSite::kAllocate) |
-                                       FaultSiteBit(FaultSite::kPin) |
-                                       FaultSiteBit(FaultSite::kGrant);
+                                       FaultSiteBit(FaultSite::kPin);
 
 /// The asynchronous spill-I/O pipeline (submit, completion, coalesced
 /// writes). Separate from kFaultIoSites so sweeps can target just the async

@@ -5,6 +5,8 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <regex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -99,6 +101,55 @@ TEST_F(BufferManagerTest, PinnedPagesCannotBeEvicted) {
   h0.Reset();
   auto res2 = bm.Allocate(kPageSize, &b2);
   ASSERT_TRUE(res2.ok()) << res2.status().ToString();
+}
+
+TEST_F(BufferManagerTest, OutOfMemoryNamesWhatHoldsThePool) {
+  // A 4-page pool held entirely by pins: two temporary pages, one
+  // persistent page and half a page of non-paged memory. The rejected
+  // reservation's Status must say who holds it, in the manager's own
+  // numbers.
+  auto block_mgr = FileBlockManager::Create(temp_dir_ + "/oom.db").MoveValue();
+  block_id_t id = block_mgr->AllocateBlock();
+  FileBuffer buf(kPageSize);
+  std::memset(buf.data(), 7, kPageSize);
+  ASSERT_TRUE(block_mgr->WriteBlock(id, buf).ok());
+
+  BufferManager bm(temp_dir_, 4 * kPageSize);
+  std::shared_ptr<BlockHandle> t0, t1;
+  auto h0 = bm.Allocate(kPageSize, &t0).MoveValue();
+  auto h1 = bm.Allocate(kPageSize, &t1).MoveValue();
+  auto persistent = bm.RegisterPersistentBlock(*block_mgr, id);
+  auto h2 = bm.Pin(persistent).MoveValue();
+  auto non_paged = bm.AllocateNonPaged(kPageSize / 2).MoveValue();
+
+  std::shared_ptr<BlockHandle> extra;
+  auto res = bm.Allocate(kPageSize, &extra);
+  ASSERT_FALSE(res.ok());
+  ASSERT_TRUE(res.status().IsOutOfMemory());
+  const std::string message = res.status().message();
+  std::smatch m;
+  ASSERT_TRUE(std::regex_search(
+      message, m,
+      std::regex("cannot reserve ([0-9]+) bytes: limit ([0-9]+), used "
+                 "([0-9]+) \\(persistent ([0-9]+), temporary ([0-9]+), "
+                 "non-paged ([0-9]+)\\), ([0-9]+) pinned buffers")))
+      << message;
+  auto number = [&](int i) { return std::stoull(m[i].str()); };
+  BufferManagerSnapshot snap = bm.Snapshot();
+  EXPECT_EQ(number(1), kPageSize);
+  EXPECT_EQ(number(2), snap.memory_limit);
+  EXPECT_EQ(number(3), snap.memory_used);
+  EXPECT_EQ(number(4), snap.persistent_bytes_in_memory);
+  EXPECT_EQ(number(5), snap.temporary_bytes_in_memory);
+  EXPECT_EQ(number(6), snap.non_paged_bytes);
+  EXPECT_EQ(number(7), snap.pinned_buffers);
+  // And the numbers are the ones this test put there.
+  EXPECT_EQ(snap.memory_used, 3 * kPageSize + kPageSize / 2);
+  EXPECT_EQ(snap.persistent_bytes_in_memory, kPageSize);
+  EXPECT_EQ(snap.temporary_bytes_in_memory, 2 * kPageSize);
+  EXPECT_EQ(snap.non_paged_bytes, kPageSize / 2);
+  EXPECT_EQ(snap.pinned_buffers, 3u);
+  EXPECT_EQ(snap.oom_rejections, 1u);
 }
 
 TEST_F(BufferManagerTest, BufferReuseOnSameSizeAllocation) {

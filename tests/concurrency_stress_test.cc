@@ -235,17 +235,16 @@ TEST_F(ConcurrencyStressTest, ConcurrentAggregationsSharedPool) {
 }
 
 //===----------------------------------------------------------------------===//
-// Admission + grant churn through the QueryService
+// Admission churn through the QueryService
 //===----------------------------------------------------------------------===//
 
 // The multi-tenant variant of the shared-pool test: more submitters than
-// the concurrency cap, so sessions continuously queue, acquire grants,
-// grow them under memory pressure (evicting each other's granted pages),
-// release, and hand the slot on — while a foreign thread polls the
-// service's live session registry and a policy flipper churns eviction
-// order underneath. TSan-facing like everything in this file; functionally
-// every query must produce the correct result and the pool must quiesce
-// with zero leaked grants.
+// the concurrency cap, so sessions continuously queue, take a slot, evict
+// each other's pages under memory pressure, finish, and hand the slot on —
+// while a foreign thread polls the service's live session registry and a
+// policy flipper churns eviction order underneath. TSan-facing like
+// everything in this file; functionally every query must produce the
+// correct result and the pool must quiesce with nothing leaked.
 TEST_F(ConcurrencyStressTest, GrantedAggregationsAdmissionChurn) {
   constexpr idx_t kSubmitters = 6;
   constexpr idx_t kQueriesEach = 3;
@@ -256,7 +255,6 @@ TEST_F(ConcurrencyStressTest, GrantedAggregationsAdmissionChurn) {
   options.max_concurrent = 3;
   options.max_queue_depth = kSubmitters;  // deep enough: nothing sheds
   options.admission_timeout_seconds = 60.0;
-  options.min_grant_bytes = 4 * kPageSize;
   options.threads = 2;
   QueryService service(bm, options);
 
@@ -274,12 +272,11 @@ TEST_F(ConcurrencyStressTest, GrantedAggregationsAdmissionChurn) {
   std::thread session_poller([&]() {
     while (!stop.load(std::memory_order_relaxed)) {
       // Sessions in every state (queued / running) must poll cleanly from
-      // a foreign thread; the pool's books must never go inconsistent.
+      // a foreign thread; admission must never run more than its cap.
       for (const auto &session : service.Sessions()) {
         (void)session.progress.Fraction();
       }
-      EXPECT_LE(service.grant_pool().granted_total(),
-                service.grant_pool().total());
+      EXPECT_LE(service.stats().active, options.max_concurrent);
       std::this_thread::yield();
     }
   });
@@ -307,7 +304,6 @@ TEST_F(ConcurrencyStressTest, GrantedAggregationsAdmissionChurn) {
                          {AggregateKind::kCountStar, kInvalidIndex}};
       spec.output = &collector;
       spec.config.radix_bits = 2;
-      spec.memory_estimate = (4 + tid) * kPageSize;  // uneven initial grants
       auto stats = service.Execute(spec);
       if (!stats.ok() || collector.TotalRows() != kGroups ||
           stats.value().unique_groups != kGroups) {
@@ -345,9 +341,7 @@ TEST_F(ConcurrencyStressTest, GrantedAggregationsAdmissionChurn) {
   EXPECT_EQ(bm.PinnedBufferCount(), 0u) << "leaked pins";
   EXPECT_EQ(bm.temp_files().UsedSlots(), 0u) << "leaked temp slots";
   EXPECT_EQ(bm.memory_used(), 0u) << "leaked memory charge";
-  EXPECT_EQ(service.grant_pool().active_grants(), 0u) << "leaked grants";
-  EXPECT_EQ(service.grant_pool().granted_total(), 0u) << "leaked grant bytes";
-  EXPECT_EQ(service.grant_pool().used_total(), 0u) << "leaked grant charges";
+  EXPECT_TRUE(service.Sessions().empty()) << "leaked sessions";
 }
 
 //===----------------------------------------------------------------------===//

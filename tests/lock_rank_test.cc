@@ -11,10 +11,12 @@
 #include <vector>
 
 #include "buffer/buffer_manager.h"
-#include "buffer/memory_grant.h"
 #include "common/file_system.h"
 #include "common/lock_rank.h"
 #include "common/mutex.h"
+#include "execution/collectors.h"
+#include "execution/range_source.h"
+#include "service/query_service.h"
 
 namespace ssagg {
 namespace {
@@ -39,14 +41,14 @@ class ViolationProbe {
 
 TEST(LockRankTest, OutOfHierarchyAcquisitionAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex pool_rank{LockRank::kGrantPool, "test_pool"};
+  Mutex queue_rank{LockRank::kEvictionQueue, "test_queue"};
   Mutex block_rank{LockRank::kBlockHandle, "test_block"};
   EXPECT_DEATH(
       {
-        ScopedLock outer(pool_rank);
-        ScopedLock inner(block_rank);  // 40 held, blocking on 30: inverted.
+        ScopedLock outer(queue_rank);
+        ScopedLock inner(block_rank);  // 50 held, blocking on 30: inverted.
       },
-      "lock-rank violation.*\"test_block\".*rank 30.*\"test_pool\".*rank 40");
+      "lock-rank violation.*\"test_block\".*rank 30.*\"test_queue\".*rank 50");
 }
 
 TEST(LockRankTest, IncreasingRanksAreClean) {
@@ -64,9 +66,9 @@ TEST(LockRankTest, IncreasingRanksAreClean) {
 
 TEST(LockRankTest, TryLockAgainstTheHierarchyIsExempt) {
   ViolationProbe probe;
-  Mutex pool_rank{LockRank::kGrantPool, "test_pool"};
+  Mutex queue_rank{LockRank::kEvictionQueue, "test_queue"};
   Mutex block_rank{LockRank::kBlockHandle, "test_block"};
-  ScopedLock outer(pool_rank);
+  ScopedLock outer(queue_rank);
   // The eviction escape hatch: try_lock cannot deadlock, so acquiring
   // downward with it is legal.
   ASSERT_TRUE(block_rank.try_lock());
@@ -97,9 +99,9 @@ TEST(LockRankTest, NonLifoReleaseStaysBalanced) {
 
 TEST(LockRankTest, UnrankedLocksOptOut) {
   ViolationProbe probe;
-  Mutex pool_rank{LockRank::kGrantPool, "test_pool"};
+  Mutex queue_rank{LockRank::kEvictionQueue, "test_queue"};
   Mutex plain;  // kUnranked: short-lived test/bench locks skip the check
-  ScopedLock outer(pool_rank);
+  ScopedLock outer(queue_rank);
   plain.lock();
   plain.unlock();
   EXPECT_EQ(probe.NewViolations(), 0u);
@@ -125,7 +127,7 @@ TEST(LockRankTest, SharedMutexRanksBothModes) {
   EXPECT_EQ(probe.NewViolations(), 1u);
 }
 
-/// The three documented real flows must run violation-free end to end.
+/// The documented real flows must run violation-free end to end.
 class LockRankFlowTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -156,14 +158,35 @@ TEST_F(LockRankFlowTest, EvictionScanAndSpillWriteRunClean) {
   EXPECT_EQ(probe.NewViolations(), 0u);
 }
 
-TEST_F(LockRankFlowTest, GrantGrowRunsClean) {
+TEST_F(LockRankFlowTest, ServiceSessionRunsClean) {
   ViolationProbe probe;
-  MemoryGrantPool pool(idx_t{4} * 1024 * 1024);
-  auto grant = pool.TryAcquire(idx_t{64} * 1024, idx_t{64} * 1024).MoveValue();
-  // Charging past the initial grant forces TryGrow under the pool lock.
-  ASSERT_TRUE(grant.state()->Charge(idx_t{512} * 1024).ok());
-  EXPECT_GT(grant.granted_bytes(), idx_t{64} * 1024);
-  grant.state()->Discharge(idx_t{512} * 1024);
+  // Admission (QueryService::lock_) hands the session to its executor,
+  // whose workers spill through the shared pool: every rank from 10 to the
+  // temporary-file manager's is taken on one run.
+  BufferManager bm(temp_dir_, 24 * kPageSize);
+  QueryService service(bm);
+  RangeSource source({LogicalTypeId::kInt64, LogicalTypeId::kInt64}, 250000,
+                     [](DataChunk &chunk, idx_t start, idx_t count) {
+                       for (idx_t i = 0; i < count; i++) {
+                         auto row = static_cast<int64_t>(start + i);
+                         chunk.column(0).SetValue<int64_t>(i, row);
+                         chunk.column(1).SetValue<int64_t>(i, row);
+                       }
+                       return Status::OK();
+                     });
+  CountingCollector collector;
+  QuerySpec spec;
+  spec.source = &source;
+  spec.group_columns = {0};
+  spec.aggregates = {{AggregateKind::kSum, 1}};
+  spec.output = &collector;
+  spec.config.phase1_capacity = 512;
+  spec.config.radix_bits = 3;
+  spec.threads = 1;
+  auto stats = service.Execute(spec);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(collector.TotalRows(), 250000u);
+  EXPECT_GT(bm.Snapshot().temp_writes, 0u) << "the session never spilled";
   EXPECT_EQ(probe.NewViolations(), 0u);
 }
 
